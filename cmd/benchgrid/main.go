@@ -83,7 +83,7 @@ type point struct {
 
 	// One MT2 placement sweep under each hermetic backend (mem, object,
 	// latency) — times the whole-object RMW and simulated-clock overhead the
-	// backend capability model added to the tiered path. omitempty keeps
+	// object and latency backends add to the tiered path. omitempty keeps
 	// older points decodable as zero and excluded from the -check gate.
 	TieredBackendSweepMS int64 `json:"tiered_backend_sweep_ms,omitempty"`
 
@@ -177,20 +177,20 @@ func main() {
 // recorded. Prior points missing a metric (older schema, zero value) are
 // not compared on it. The harness-overhead percent is gated against the
 // absolute maxOverhead ceiling instead — the metric hovers around zero,
-// so a fraction-of-last-point comparison would be pure noise.
+// so a fraction-of-last-point comparison would be pure noise. Every
+// failing metric is reported, not just the first.
 func checkRegression(prior []json.RawMessage, p point, frac, maxOverhead float64) error {
+	var bad []string
 	if p.MT2HarnessOverheadPct > maxOverhead {
-		return fmt.Errorf("event harness overhead %.1f%% exceeds the %.0f%% ceiling: emission is taxing the run pool",
-			p.MT2HarnessOverheadPct, maxOverhead)
-	}
-	if len(prior) == 0 {
-		return nil
+		bad = append(bad, fmt.Sprintf("mt2_10k_harness_overhead_pct: %.1f%% exceeds the %.0f%% ceiling (emission is taxing the run pool)",
+			p.MT2HarnessOverheadPct, maxOverhead))
 	}
 	var last point
-	if err := json.Unmarshal(prior[len(prior)-1], &last); err != nil {
-		return fmt.Errorf("last committed point does not parse: %w", err)
+	if len(prior) > 0 {
+		if err := json.Unmarshal(prior[len(prior)-1], &last); err != nil {
+			return fmt.Errorf("last committed point does not parse: %w", err)
+		}
 	}
-	var bad []string
 	for _, m := range []struct {
 		name       string
 		last, this int64
@@ -211,7 +211,7 @@ func checkRegression(prior []json.RawMessage, p point, frac, maxOverhead float64
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("performance regression beyond %d%%:\n  %s",
+		return fmt.Errorf("performance regression (limit %d%% over the last point):\n  %s",
 			int(frac*100), strings.Join(bad, "\n  "))
 	}
 	return nil
@@ -370,7 +370,8 @@ func harnessOverheadPct(seed uint64) (float64, error) {
 	}
 	bus := core.NewEventBus()
 	bus.Subscribe(0, progress.Renderer(io.Discard))
-	bus.Subscribe(4096, progress.WriteTrace(io.Discard))
+	trace, _ := progress.WriteTrace(io.Discard) // io.Discard never fails a write
+	bus.Subscribe(4096, trace)
 	withMS, err := run(bus)
 	if err != nil {
 		return 0, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -125,6 +126,25 @@ func TestCheckRegression(t *testing.T) {
 				t.Fatalf("checkRegression = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCheckRegressionReportsEveryFailure: a point that breaks the overhead
+// ceiling and regresses a wall time must name both, so fixing one failure
+// does not reveal the other only on the next run.
+func TestCheckRegressionReportsEveryFailure(t *testing.T) {
+	prior := []json.RawMessage{json.RawMessage(`{"fig7_grid_engine_ms": 2000, "mt4_campaign_cow_ms": 70}`)}
+	err := checkRegression(prior, point{Fig7EngineMS: 2700, MT4CowMS: 70, MT2HarnessOverheadPct: 10.1}, 0.30, 10)
+	if err == nil {
+		t.Fatal("two failing metrics passed the gate")
+	}
+	for _, name := range []string{"mt2_10k_harness_overhead_pct", "fig7_grid_engine_ms"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %s:\n%v", name, err)
+		}
+	}
+	if strings.Contains(err.Error(), "mt4_campaign_cow_ms") {
+		t.Errorf("error names a metric within its threshold:\n%v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/stats"
+	"ffis/internal/trace"
 	"ffis/internal/vfs"
 )
 
@@ -182,15 +183,15 @@ func TestAnalyzeFailsOnEmpty(t *testing.T) {
 }
 
 func TestWriteScalarFileBlockWrites(t *testing.T) {
-	fs := vfs.NewCountingFS(vfs.NewMemFS())
+	rec := trace.NewRecorder(vfs.NewMemFS())
 	content := strings.Repeat("x", 10000)
-	if err := WriteScalarFile(fs, "/f", content); err != nil {
+	if err := WriteScalarFile(rec, "/f", content); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.Count(vfs.PrimWrite); got != 3 { // ceil(10000/4096)
+	if got := trace.Analyze(rec.Log()).ByPrim[vfs.PrimWrite]; got != 3 { // ceil(10000/4096)
 		t.Fatalf("writes = %d, want 3", got)
 	}
-	raw, _ := vfs.ReadFile(fs, "/f")
+	raw, _ := vfs.ReadFile(rec, "/f")
 	if string(raw) != content {
 		t.Fatal("content mismatch")
 	}

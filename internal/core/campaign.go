@@ -251,9 +251,12 @@ func (r CampaignResult) Cell() classify.Cell {
 // target primitive, i.e. the fault has nowhere to land.
 var ErrNoTargets = errors.New("core: target primitive never executes in workload")
 
-// Profile runs the workload fault-free on a counting file system and
+// Profile runs the workload fault-free under a disarmed injector and
 // returns the dynamic execution count of the signature's target primitive
-// (the I/O profiler of Figure 4). The workload must succeed fault-free.
+// (the I/O profiler of Figure 4). The count is the injector's own claim
+// counter, so it spans exactly the instances an armed run can strike —
+// zero-length transfers, and primitives the injector never hosts, count
+// for nothing. The workload must succeed fault-free.
 func Profile(w Workload, sig Signature) (int64, error) {
 	return ProfileMounts(w, sig, nil)
 }
@@ -271,25 +274,19 @@ func ProfileMounts(w Workload, sig Signature, mounts []string) (int64, error) {
 }
 
 // profileWorld runs the fault-free profiling pass on an already-built
-// post-Setup world (a snapshot clone in campaign use).
+// post-Setup world (a snapshot clone in campaign use). One disarmed
+// injector spans every armed mount, so its count is the run-wide claim
+// index space.
 func profileWorld(base vfs.FS, w Workload, sig Signature, mounts []string) (int64, error) {
-	var counters []*vfs.CountingFS
-	counted, err := interposeMounts(base, mounts, func(inner vfs.FS) vfs.FS {
-		c := vfs.NewCountingFS(inner)
-		counters = append(counters, c)
-		return c
-	})
+	inj := Disarmed(sig)
+	armed, err := interposeMounts(base, mounts, inj.Wrap)
 	if err != nil {
 		return 0, err
 	}
-	if err := runRecovering(w.Run, counted); err != nil {
+	if err := runRecovering(w.Run, armed); err != nil {
 		return 0, fmt.Errorf("core: fault-free profiling run failed: %w", err)
 	}
-	var total int64
-	for _, c := range counters {
-		total += c.Count(sig.Primitive)
-	}
-	return total, nil
+	return inj.Count(), nil
 }
 
 // interposeMounts wraps the armed scope of the world with wrap: the whole

@@ -446,12 +446,11 @@ func TestConformanceDeterministicMutation(t *testing.T) {
 
 // TestConformanceAllocFreePassThrough pins the hot-path allocation
 // discipline the campaign engine's throughput rests on: an armed-but-not-
-// yet-fired injector op and a profiled (CountingFS) op must not allocate.
-// The injector's miss path is a single atomic add on the dynamic count;
-// the profiler's bump is a single atomic add into a fixed counter array.
-// Any model or wrapper change that puts an allocation (or a lock-induced
-// escape) on these paths fails here rather than showing up as a campaign
-// slowdown.
+// yet-fired injector op and a profiled op — the same injector, disarmed —
+// must not allocate. Either way the miss path is a single atomic add on the
+// dynamic count. Any model or wrapper change that puts an allocation (or a
+// lock-induced escape) on these paths fails here rather than showing up as
+// a campaign slowdown.
 func TestConformanceAllocFreePassThrough(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -503,24 +502,157 @@ func TestConformanceAllocFreePassThrough(t *testing.T) {
 		r.Close()
 	}
 
-	// Profiled ops: the counting layer adds one atomic add, nothing else.
-	cfs := vfs.NewCountingFS(vfs.NewMemFS())
-	w, r := openHandles(cfs)
-	defer w.Close()
-	defer r.Close()
-	assertZero("counting WriteAt", func() {
-		if _, err := w.WriteAt(buf, 0); err != nil {
-			t.Fatal(err)
+	// Profiled ops: the profiling pass runs the workload under a disarmed
+	// injector, whose claim counter advances by one atomic add per
+	// instance of the signature's primitive and does nothing else.
+	for _, sig := range []Signature{
+		Config{Model: BitFlip}.Signature(),
+		Config{Model: ReadBitFlip}.Signature(),
+	} {
+		inj := Disarmed(sig)
+		fs := inj.Wrap(vfs.NewMemFS())
+		w, r := openHandles(fs)
+		assertZero(sig.String()+"/profiled WriteAt", func() {
+			if _, err := w.WriteAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertZero(sig.String()+"/profiled ReadAt", func() {
+			if _, err := r.ReadAt(rd, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertZero(sig.String()+"/profiled Stat", func() {
+			if _, err := fs.Stat("/f"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if inj.Count() == 0 {
+			t.Errorf("%s: profiled ops never reached the claim counter", sig)
 		}
-	})
-	assertZero("counting ReadAt", func() {
-		if _, err := r.ReadAt(rd, 0); err != nil {
-			t.Fatal(err)
+		w.Close()
+		r.Close()
+	}
+}
+
+// claimSpaceDirs are the directories claimSpaceWorkload exercises: two
+// armable tiers and a directory on the root mount.
+var claimSpaceDirs = []string{"/a", "/b", "/r"}
+
+// claimSpaceWorkload exercises every hostable primitive in each of
+// claimSpaceDirs, mixing the cases where a profiler and an injector could
+// disagree on what an instance is: zero-length and real transfers through
+// both sequential and positional calls, a write through an Append handle,
+// and truncation at both the handle and the FS level. Per directory it
+// performs 3 writes, 2 reads, 2 truncates, 1 mknod and 1 chmod that move
+// bytes or change state, plus 2 zero-length writes and 2 zero-length reads.
+// Data-op errors are ignored: some models fail ops by design.
+func claimSpaceWorkload() Workload {
+	payload := bytes.Repeat([]byte{0xC3, 0x5A}, 2048)
+	return Workload{
+		Name: "claim-space",
+		NewFS: func() (vfs.FS, error) {
+			m := vfs.NewMountFS(vfs.NewMemFS())
+			for _, dir := range []string{"/a", "/b"} {
+				if err := m.Mount(dir, vfs.NewMemFS()); err != nil {
+					return nil, err
+				}
+			}
+			return m, nil
+		},
+		Setup: func(fs vfs.FS) error {
+			for _, dir := range claimSpaceDirs {
+				if err := fs.MkdirAll(dir); err != nil {
+					return err
+				}
+				if err := vfs.WriteFile(fs, dir+"/seed", payload); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Run: func(fs vfs.FS) error {
+			for _, dir := range claimSpaceDirs {
+				f, err := fs.Create(dir + "/out")
+				if err != nil {
+					return err
+				}
+				f.Write(nil)
+				f.Write(payload)
+				f.WriteAt([]byte{}, 0)
+				f.WriteAt(payload[:512], 1024)
+				f.Truncate(3000)
+				f.Close()
+
+				a, err := fs.Append(dir + "/out")
+				if err != nil {
+					return err
+				}
+				a.Write(nil)
+				a.Write(payload[:100])
+				a.Close()
+				fs.Truncate(dir+"/out", 2000)
+
+				r, err := fs.Open(dir + "/seed")
+				if err != nil {
+					return err
+				}
+				r.Read(nil)
+				r.Read(make([]byte, 1024))
+				r.ReadAt([]byte{}, 0)
+				r.ReadAt(make([]byte, 512), 100)
+				r.Close()
+
+				fs.Mknod(dir+"/node", 0o600, 7)
+				fs.Chmod(dir+"/seed", 0o640)
+			}
+			return nil
+		},
+	}
+}
+
+// TestConformanceProfileMatchesClaimSpace pins the profiler's contract by
+// name: for every registered model and hosted primitive, the profiled count
+// is exactly the injector's claim index space. Every target in [0, count)
+// must fire and target count must not, whether the whole world is armed or
+// only some of its mounts.
+func TestConformanceProfileMatchesClaimSpace(t *testing.T) {
+	perDir := map[vfs.Primitive]int64{
+		vfs.PrimWrite: 3, vfs.PrimRead: 2, vfs.PrimTruncate: 2,
+		vfs.PrimMknod: 1, vfs.PrimChmod: 1,
+	}
+	scopes := []struct {
+		name   string
+		mounts []string
+		dirs   int64
+	}{
+		{"whole", nil, 3},
+		{"mounts", []string{"/a", "/b"}, 2},
+	}
+	w := claimSpaceWorkload()
+	for _, m := range AllModels() {
+		for _, prim := range m.Hosts() {
+			for _, sc := range scopes {
+				t.Run(m.Name()+"/"+string(prim)+"/"+sc.name, func(t *testing.T) {
+					sig := Config{Model: m, Primitive: prim}.Signature()
+					count, err := ProfileMounts(w, sig, sc.mounts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := perDir[prim] * sc.dirs; count != want {
+						t.Fatalf("profiled %d %s instances, want %d", count, prim, want)
+					}
+					for target := int64(0); target <= count; target++ {
+						rec, err := RunOnceMounts(w, sig, target, stats.NewRNG(uint64(target)+1), sc.mounts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := target < count; rec.Fired != want {
+							t.Fatalf("target %d of %d: fired = %v, want %v", target, count, rec.Fired, want)
+						}
+					}
+				})
+			}
 		}
-	})
-	assertZero("counting Stat", func() {
-		if _, err := cfs.Stat("/f"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
 }

@@ -79,7 +79,9 @@ func NewInjector(sig Signature, target int64, rng *stats.RNG) *Injector {
 }
 
 // Disarmed returns an injector that never fires; wrapping with it yields a
-// pure pass-through, used to validate transparency (R1) in tests.
+// pure pass-through whose Count still advances on every claimable instance.
+// The profiling pass runs under one, and tests use it to validate
+// transparency (R1).
 func Disarmed(sig Signature) *Injector {
 	return NewInjector(sig, -1, stats.NewRNG(0))
 }
@@ -429,7 +431,7 @@ func (f *injectorFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Truncate intercepts the handle-level truncate primitive, hosting the same
-// faults as the FS-level call so the claim count matches the profiler's.
+// faults as the FS-level call: both are instances of one primitive.
 func (f *injectorFile) Truncate(size int64) error {
 	size, drop := f.inj.interceptTruncate(f.File.Name(), size)
 	if drop {

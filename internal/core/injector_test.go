@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"ffis/internal/classify"
@@ -507,6 +509,160 @@ func TestZeroLengthWriteProfileAlignment(t *testing.T) {
 		}
 		if rec.Mutation.Length != 2 {
 			t.Fatalf("target %d landed on a %d-byte write", target, rec.Mutation.Length)
+		}
+	}
+}
+
+// TestProfileCountsConcurrentHandles: writes issued from several goroutines
+// at once are each profiled exactly once — every handle of the profiling
+// pass shares the disarmed injector's single atomic claim counter.
+func TestProfileCountsConcurrentHandles(t *testing.T) {
+	const workers, writesPer = 8, 200
+	w := Workload{
+		Name: "concurrent",
+		Run: func(fs vfs.FS) error {
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for id := 0; id < workers; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					f, err := fs.Create(fmt.Sprintf("/f%d", id))
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer f.Close()
+					for i := 0; i < writesPer; i++ {
+						if _, err := f.Write([]byte("x")); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(id)
+			}
+			wg.Wait()
+			close(errs)
+			return <-errs
+		},
+	}
+	count, err := Profile(w, Config{Model: BitFlip}.Signature())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != workers*writesPer {
+		t.Fatalf("profiled %d writes, want %d", count, workers*writesPer)
+	}
+}
+
+// TestProfileCountsWriteAndWriteAt: streaming writes and positional
+// writes on one handle are both write instances of the profile.
+func TestProfileCountsWriteAndWriteAt(t *testing.T) {
+	w := Workload{
+		Name: "write-mix",
+		Run: func(fs vfs.FS) error {
+			f, err := fs.Create("/f")
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte("a")); err != nil {
+				return err
+			}
+			if _, err := f.Write([]byte("b")); err != nil {
+				return err
+			}
+			_, err = f.WriteAt([]byte("c"), 0)
+			return err
+		},
+	}
+	count, err := Profile(w, Config{Model: BitFlip}.Signature())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != 3 {
+		t.Fatalf("profiled %d writes, want 3", count)
+	}
+}
+
+// TestProfileSkipsZeroLengthTransfers pins the profiler/injector contract
+// on both data paths: the injector never claims an empty transfer, so
+// zero-length writes and reads are not profiled as primitive instances.
+func TestProfileSkipsZeroLengthTransfers(t *testing.T) {
+	w := Workload{
+		Name: "zero-length",
+		Run: func(fs vfs.FS) error {
+			f, err := fs.Create("/f")
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			steps := []func() (int, error){
+				func() (int, error) { return f.Write(nil) },                 // not an instance
+				func() (int, error) { return f.WriteAt([]byte{}, 0) },       // not an instance
+				func() (int, error) { return f.Write([]byte("abc")) },       // write 0
+				func() (int, error) { return f.WriteAt([]byte{1}, 10) },     // write 1
+				func() (int, error) { return f.ReadAt(make([]byte, 4), 0) }, // read 0
+				func() (int, error) { return f.ReadAt(nil, 0) },             // not an instance
+				func() (int, error) { return f.Read(nil) },                  // not an instance
+			}
+			for _, step := range steps {
+				if _, err := step(); err != nil {
+					return err
+				}
+			}
+			if _, err := f.Seek(0, 0); err != nil {
+				return err
+			}
+			_, err = f.Read(make([]byte, 4)) // read 1
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		model Model
+		want  int64
+	}{{BitFlip, 2}, {ReadBitFlip, 2}} {
+		count, err := Profile(w, Config{Model: tc.model}.Signature())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != tc.want {
+			t.Fatalf("%s: profiled %d instances, want %d (zero-length transfers counted)",
+				tc.model.Name(), count, tc.want)
+		}
+	}
+}
+
+// TestProfilingPassDelegatesContent: the profiling pass is transparent
+// (requirement R1) on both data paths — what the workload writes through
+// the disarmed injector lands byte-identical in the world, and reads
+// through it return the world's bytes unchanged.
+func TestProfilingPassDelegatesContent(t *testing.T) {
+	payload := bytes.Repeat([]byte("payload-"), 512)
+	for _, model := range []Model{BitFlip, ReadBitFlip} {
+		base := vfs.NewMemFS()
+		w := Workload{
+			Name: "delegate",
+			Run: func(fs vfs.FS) error {
+				if err := vfs.WriteFile(fs, "/f", payload); err != nil {
+					return err
+				}
+				got, err := vfs.ReadFile(fs, "/f")
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(got, payload) {
+					return errors.New("read through the profiler differs from what was written")
+				}
+				return nil
+			},
+		}
+		if _, err := profileWorld(base, w, Config{Model: model}.Signature(), nil); err != nil {
+			t.Fatalf("%s: %v", model.Name(), err)
+		}
+		got, err := vfs.ReadFile(base, "/f")
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: world content altered by profiling: %v", model.Name(), err)
 		}
 	}
 }

@@ -7,8 +7,10 @@
 //
 //   - Fault generator — Config.Signature() turns a user configuration into a
 //     fault signature (fault model + target primitive + model feature).
-//   - I/O profiler — Profile() executes the workload fault-free on a
-//     CountingFS and reports the dynamic count of the target primitive.
+//   - I/O profiler — Profile() executes the workload fault-free under a
+//     disarmed injector and reports its claim count for the target
+//     primitive, so the profiled target space and the injector's claim
+//     space agree by construction.
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
 //     instance; Campaign() loops runs and classifies outcomes.
 //

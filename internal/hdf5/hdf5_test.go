@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ffis/internal/stats"
+	"ffis/internal/trace"
 	"ffis/internal/vfs"
 )
 
@@ -185,13 +186,13 @@ func TestWriteToIOPattern(t *testing.T) {
 	// WriteTo must produce data-chunk writes, then the metadata write
 	// (penultimate), then the EOF stamp (final) — the sequence the
 	// metadata injection campaign targets.
-	fs := vfs.NewCountingFS(vfs.NewMemFS())
+	rec := trace.NewRecorder(vfs.NewMemFS())
 	img := buildSmall(t, seqValues(1024), []uint64{1024}) // 8 KiB data
-	if err := img.WriteTo(fs, "/d.h5"); err != nil {
+	if err := img.WriteTo(rec, "/d.h5"); err != nil {
 		t.Fatal(err)
 	}
 	wantWrites := int64((len(img.Data)+4095)/4096) + 2
-	if got := fs.Count(vfs.PrimWrite); got != wantWrites {
+	if got := int64(trace.Analyze(rec.Log()).ByPrim[vfs.PrimWrite]); got != wantWrites {
 		t.Fatalf("writes = %d, want %d", got, wantWrites)
 	}
 	if img.MetadataWriteIndex() != wantWrites-2 {

@@ -22,6 +22,8 @@ import (
 // bus is nil when both are disabled — event emission stays off entirely.
 // Call finish once the campaigns are done: it flushes the subscribers,
 // reports the trace's dropped-event count to errTo, and closes the file.
+// Its error is the trace's first write error, else the file's Close error:
+// a trace cut short by a full disk is never reported as complete.
 func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.EventBus, finish func() error, err error) {
 	if progressTo == nil && tracePath == "" {
 		return nil, func() error { return nil }, nil
@@ -32,12 +34,15 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 	}
 	var f *os.File
 	var traceSub *core.Subscription
+	var traceErr func() error
 	if tracePath != "" {
 		f, err = os.Create(tracePath)
 		if err != nil {
 			return nil, nil, err
 		}
-		traceSub = bus.Subscribe(4096, WriteTrace(f))
+		var sub func(core.Event)
+		sub, traceErr = WriteTrace(f)
+		traceSub = bus.Subscribe(4096, sub)
 	}
 	finish = func() error {
 		bus.Close()
@@ -47,7 +52,11 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 		if n := traceSub.Dropped(); n > 0 && errTo != nil {
 			fmt.Fprintf(errTo, "trace: dropped %d run_done events (writer fell behind; lifecycle events are complete)\n", n)
 		}
-		return f.Close()
+		closeErr := f.Close()
+		if err := traceErr(); err != nil {
+			return err
+		}
+		return closeErr
 	}
 	return bus, finish, nil
 }
@@ -119,9 +128,16 @@ type traceLine struct {
 // RunDone lines (counted on the Subscription) rather than stalling runs,
 // so a trace is a faithful sample, while its lifecycle lines
 // (spec_start, barrier, stop_decision, spec_done) are always complete.
-func WriteTrace(w io.Writer) func(core.Event) {
+//
+// The first encode error stops the stream — later lines would only leave
+// a gap mid-trace — and err reports it. Read err after the bus is closed.
+func WriteTrace(w io.Writer) (sub func(core.Event), err func() error) {
 	enc := json.NewEncoder(w)
-	return func(ev core.Event) {
+	var encErr error
+	sub = func(ev core.Event) {
+		if encErr != nil {
+			return
+		}
 		l := traceLine{Event: string(ev.Kind), Key: ev.Key}
 		switch ev.Kind {
 		case core.EventSpecStart:
@@ -149,10 +165,9 @@ func WriteTrace(w io.Writer) func(core.Event) {
 				}
 			}
 		}
-		// Encoding to a CLI-owned file cannot meaningfully fail mid-stream;
-		// a full disk surfaces on the file's Close.
-		_ = enc.Encode(l)
+		encErr = enc.Encode(l)
 	}
+	return sub, func() error { return encErr }
 }
 
 func tallyMap(res *core.CampaignResult) map[string]int {

@@ -4,8 +4,8 @@ package vfs
 // mount table — byte-addressable or whole-object, latency-modeled or not —
 // must agree on namespace semantics, handle lifecycle, error sentinels, and
 // concurrent access; these tests are the executable form of that contract.
-// They started life as MemFS unit tests and were extracted when the backend
-// capability model landed: a new backend passes the suite or it does not go
+// They started life as MemFS unit tests and were extracted when ObjectFS and
+// LatencyFS joined: a new backend passes the suite or it does not go
 // behind MountFS. The CI race gate runs exactly this suite under -race.
 
 import (

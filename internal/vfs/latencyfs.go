@@ -68,6 +68,37 @@ func (c CostModel) writeCost(n int) int64 {
 	return ns
 }
 
+// SimClocked is implemented by backends that model I/O latency against a
+// deterministic simulated clock. The clock is monotone within a run and
+// charged by commutative atomic additions, so the accumulated total is
+// independent of goroutine interleaving — workers 1 and workers 8 campaigns
+// report identical simulated times.
+type SimClocked interface {
+	// SimElapsed returns the simulated I/O time accumulated since the
+	// backend was created, cloned, or last reset.
+	SimElapsed() time.Duration
+	// ResetSim zeroes the simulated clock. The campaign driver resets
+	// immediately before each run so setup and profiling I/O is excluded
+	// and COW-cloned and rebuilt worlds measure identically.
+	ResetSim()
+}
+
+// SimElapsed reads fs's simulated clock. The second return is false when fs
+// does not model latency (the elapsed time is then zero by definition).
+func SimElapsed(fs FS) (time.Duration, bool) {
+	if c, ok := fs.(SimClocked); ok {
+		return c.SimElapsed(), true
+	}
+	return 0, false
+}
+
+// ResetSim zeroes fs's simulated clock; a no-op for unclocked backends.
+func ResetSim(fs FS) {
+	if c, ok := fs.(SimClocked); ok {
+		c.ResetSim()
+	}
+}
+
 // LatencyFS wraps a backend and charges every operation against a
 // deterministic simulated clock, so placement sweeps produce *time*
 // results — "this campaign moved X bytes over a PFS-class tier and would
@@ -100,11 +131,6 @@ func (l *LatencyFS) SimElapsed() time.Duration { return time.Duration(l.ns.Load(
 
 // ResetSim implements SimClocked.
 func (l *LatencyFS) ResetSim() { l.ns.Store(0) }
-
-// Capabilities declares the inner backend's profile plus latency modeling.
-func (l *LatencyFS) Capabilities() Capability {
-	return CapabilitiesOf(l.inner) | CapLatencyModeled
-}
 
 // CloneFS implements Cloner when the inner backend does: the clone shares
 // the cost model, snapshots the inner state, and starts a fresh clock.
@@ -222,9 +248,8 @@ func (f *latencyFile) Truncate(size int64) error {
 }
 
 var (
-	_ FS                 = (*LatencyFS)(nil)
-	_ File               = (*latencyFile)(nil)
-	_ Cloner             = (*LatencyFS)(nil)
-	_ CapabilityReporter = (*LatencyFS)(nil)
-	_ SimClocked         = (*LatencyFS)(nil)
+	_ FS         = (*LatencyFS)(nil)
+	_ File       = (*latencyFile)(nil)
+	_ Cloner     = (*LatencyFS)(nil)
+	_ SimClocked = (*LatencyFS)(nil)
 )

@@ -164,9 +164,9 @@ func (m *MountFS) MountFor(name string) (mountPath string, backend FS) {
 // dir is replaced by wrap over a prefix-translating view of that backend.
 // Backends are shared with the receiver, not copied: both tables route to
 // the same storage, only the wrapping differs. This is how core arms a
-// fault injector (or the I/O profiler's CountingFS) on a single storage
-// tier while the original table remains a clean view for golden comparison
-// and outcome classification.
+// fault injector (armed for a run, or disarmed for the profiling pass) on
+// a single storage tier while the original table remains a clean view for
+// golden comparison and outcome classification.
 //
 // The interposed stack observes table-absolute paths — wrap's FS receives
 // "/scratch/run/out.h5", not "/run/out.h5" — so injector mutation records
@@ -453,25 +453,6 @@ func (m *MountFS) Truncate(name string, size int64) error {
 	return mp.fs.Truncate(rel, size)
 }
 
-// Capabilities declares the capability profile of the mounted world:
-// CapClone and CapByteAddressable hold only when every backend in the
-// table has them (the world clones iff all its tiers clone; one
-// whole-object tier makes the world partially whole-object), while
-// CapLatencyModeled holds when any tier charges a simulated clock (the
-// world then has meaningful simulated time).
-func (m *MountFS) Capabilities() Capability {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	caps := CapClone | CapByteAddressable
-	var modeled Capability
-	for _, mp := range m.mounts {
-		c := CapabilitiesOf(mp.fs)
-		caps &= c
-		modeled |= c & CapLatencyModeled
-	}
-	return caps | modeled
-}
-
 // SimElapsed implements SimClocked by summing the simulated clocks of
 // every latency-modeled backend in the table. Unclocked tiers contribute
 // zero, so a world with no latency-modeled mount reports zero.
@@ -499,8 +480,7 @@ func (m *MountFS) ResetSim() {
 }
 
 var (
-	_ FS                 = (*MountFS)(nil)
-	_ File               = (*mountFile)(nil)
-	_ CapabilityReporter = (*MountFS)(nil)
-	_ SimClocked         = (*MountFS)(nil)
+	_ FS         = (*MountFS)(nil)
+	_ File       = (*mountFile)(nil)
+	_ SimClocked = (*MountFS)(nil)
 )

@@ -103,10 +103,6 @@ func (o *ObjectFS) SetConsistencyLag(lag int) {
 // amplification.
 func (o *ObjectFS) RewrittenBytes() int64 { return o.rewritten.Load() }
 
-// Capabilities declares the backend profile: clonable, but whole-object
-// rather than byte-addressable.
-func (o *ObjectFS) Capabilities() Capability { return CapClone }
-
 func (o *ObjectFS) parentOK(name string) error {
 	dir := path.Dir(name)
 	n, ok := o.nodes[dir]
@@ -673,8 +669,7 @@ func (f *objFile) Close() error {
 }
 
 var (
-	_ FS                 = (*ObjectFS)(nil)
-	_ File               = (*objFile)(nil)
-	_ Cloner             = (*ObjectFS)(nil)
-	_ CapabilityReporter = (*ObjectFS)(nil)
+	_ FS     = (*ObjectFS)(nil)
+	_ File   = (*objFile)(nil)
+	_ Cloner = (*ObjectFS)(nil)
 )

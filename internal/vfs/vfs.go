@@ -5,9 +5,9 @@
 // the fault injector corrupts the arguments on their way to the backing
 // store. This package is the Go equivalent of that boundary: an FS interface
 // with FUSE-shaped primitives, an in-memory implementation (MemFS) standing
-// in for the backing device, and wrapper implementations (CountingFS here;
-// core.InjectorFS in package core) standing in for the FFIS instrumentation
-// inserted between the application and the store.
+// in for the backing device, and wrapper implementations (core.InjectorFS,
+// which also serves as the I/O profiler when disarmed) standing in for the
+// FFIS instrumentation inserted between the application and the store.
 //
 // Where the paper has a single FFISFS mount point over one device, MountFS
 // generalizes the boundary to tiered storage: a Unix-style mount table
@@ -21,7 +21,7 @@
 // Everything the applications in internal/apps do to persistent state flows
 // through this interface, exactly as the paper requires transparency (R1)
 // and convenience (R2): applications never know whether they run on a bare
-// MemFS, a counting profiler, an armed fault injector, or a mount table
+// MemFS, a disarmed profiling pass, an armed fault injector, or a mount table
 // dispatching to several of each.
 package vfs
 
@@ -107,6 +107,36 @@ type FS interface {
 	Mknod(name string, mode uint32, dev uint64) error
 	Chmod(name string, mode uint32) error
 	Truncate(name string, size int64) error
+}
+
+// Primitive names the FUSE-level operations FFIS can target. These mirror
+// the "FFIS_write, FFIS_mknod, FFIS_chmod ..." callbacks of Table I.
+type Primitive string
+
+// The primitive vocabulary. PrimWrite covers both sequential Write and
+// positional WriteAt calls, matching the paper where every data write funnels
+// into the single FFIS_write → pwrite path.
+const (
+	PrimWrite    Primitive = "write"
+	PrimRead     Primitive = "read"
+	PrimCreate   Primitive = "create"
+	PrimOpen     Primitive = "open"
+	PrimMknod    Primitive = "mknod"
+	PrimChmod    Primitive = "chmod"
+	PrimMkdir    Primitive = "mkdir"
+	PrimRemove   Primitive = "remove"
+	PrimRename   Primitive = "rename"
+	PrimTruncate Primitive = "truncate"
+	PrimStat     Primitive = "stat"
+	PrimReadDir  Primitive = "readdir"
+)
+
+// Primitives lists every primitive name in a stable order.
+func Primitives() []Primitive {
+	return []Primitive{
+		PrimWrite, PrimRead, PrimCreate, PrimOpen, PrimMknod, PrimChmod,
+		PrimMkdir, PrimRemove, PrimRename, PrimTruncate, PrimStat, PrimReadDir,
+	}
 }
 
 // Clean normalizes a path to the canonical rooted slash form used as map
@@ -855,13 +885,8 @@ func (f *memFile) Close() error {
 	return nil
 }
 
-// Capabilities declares MemFS's backend profile: copy-on-write clonable
-// and byte-addressable (extent-granular writes).
-func (m *MemFS) Capabilities() Capability { return CapClone | CapByteAddressable }
-
 // interface conformance checks
 var (
-	_ FS                 = (*MemFS)(nil)
-	_ File               = (*memFile)(nil)
-	_ CapabilityReporter = (*MemFS)(nil)
+	_ FS   = (*MemFS)(nil)
+	_ File = (*memFile)(nil)
 )

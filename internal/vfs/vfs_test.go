@@ -317,3 +317,16 @@ func TestMemFSSparseHoleReadsZero(t *testing.T) {
 		}
 	}
 }
+
+func TestPrimitivesStable(t *testing.T) {
+	a := Primitives()
+	b := Primitives()
+	if len(a) != len(b) {
+		t.Fatal("unstable primitive list")
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("unstable primitive order")
+		}
+	}
+}
