@@ -17,12 +17,8 @@
 // injection run gets a copy-on-write clone of that snapshot, with all cells
 // drawing from one bounded worker pool (-jobs).
 //
-// Persistent results: -out streams every grid cell's run records to a JSONL
-// store, -resume continues an interrupted store (finalized cells load from
-// disk, partial cells pick up at the first missing run), -shard i/n
-// executes only that slice of every cell's run indices (merge shard stores
-// with -merge), and -report re-renders a store as text, CSV, JSON, or
-// Markdown without re-running anything:
+// The flags shared with cmd/ffis, the results store
+// (-out/-resume/-shard/-merge/-report) included, come from internal/cli:
 //
 //	experiments -fig 7 -runs 1000 -out ./fig7
 //	experiments -fig 7 -runs 1000 -out ./fig7 -resume   # after a crash
@@ -33,292 +29,140 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"ffis/internal/cli"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
-	progressui "ffis/internal/progress"
-	"ffis/internal/results"
-	"ffis/internal/stats"
 )
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return strings.Join(*l, ",") }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func main() {
+	shared := cli.Register("experiments", flag.CommandLine)
 	var (
 		table    = flag.Int("table", 0, "regenerate one table (1-4)")
 		fig      = flag.Int("fig", 0, "regenerate one figure (5-9)")
 		all      = flag.Bool("all", false, "regenerate every table and figure")
-		runs     = flag.Int("runs", 1000, "runs per Figure 7 campaign cell")
-		seed     = flag.Uint64("seed", 2021, "campaign seed")
-		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		jobs     = flag.Int("jobs", 0, "campaign engine pool width shared across the whole grid (0 = -workers, then GOMAXPROCS)")
-		progress = flag.Bool("progress", false, "stream per-campaign progress to stderr while grids run")
-		nyxN     = flag.Int("nyx-n", 0, "override the Nyx grid edge")
 		stride   = flag.Int("meta-stride", 1, "Table III byte stride (1 = exhaustive)")
-		useAvg   = flag.Bool("avg-detector", false, "apply the Nyx average-value method in Figure 7")
 		ablation = flag.Bool("ablation", false, "run the design-choice ablation sweeps")
 		detector = flag.Bool("detector-study", false, "run the Nyx with/without average-value comparison")
 		tiered   = flag.Bool("tiered", false, "run the tiered-storage placement sweep (fault tier vs clean tiers)")
 		rw       = flag.Bool("readwrite", false, "run the read-path vs write-path fault grid over every registered model")
 		model    = flag.String("model", "", "restrict the -tiered sweep to one fault model (name, short code, or alias; default: the Table I write family)")
-		listOnly = flag.Bool("list-models", false, "print the fault-model registry table and exit")
 		outdir   = flag.String("outdir", "", "directory for image artifacts (Figures 5 and 9)")
-		adaptive = flag.Float64("adaptive", 0, "adaptive stopping: each cell halts when every outcome rate's Wilson 95% half-width is under this target (-runs becomes the budget cap; 0 = fixed budget)")
-		showCI   = flag.Bool("ci", false, "render campaign tables as rate ±halfwidth (Wilson 95%) columns")
-		traceOut = flag.String("trace", "", "stream per-run lifecycle events (spec_start, run_done with stage timings, barriers, spec_done) as JSONL to this file")
-		storeDir = flag.String("out", "", "stream grid run records to a JSONL results store at this directory")
-		resume   = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted work")
-		shardStr = flag.String("shard", "", "execute only shard i/n of every cell's run indices (requires -out)")
-		report   = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
-	var mergeSrcs, backends stringList
-	flag.Var(&mergeSrcs, "merge", "merge this shard store into -out (repeatable) and exit without running")
+	var backends cli.StringList
 	flag.Var(&backends, "backend", "storage backend the -tiered sweep runs every placement under (repeatable: mem, object[:lag=N], latency[:bb|:pfs]; default mem)")
 	flag.Parse()
 
-	if *listOnly || strings.EqualFold(*model, "list") {
+	if shared.ListModels || strings.EqualFold(*model, "list") {
 		fmt.Print(core.ModelTable())
 		return
 	}
-
-	o := experiments.Options{
-		Runs:           *runs,
-		Seed:           *seed,
-		Workers:        *workers,
-		Jobs:           *jobs,
-		NyxN:           *nyxN,
-		MetaStride:     *stride,
-		UseAvgDetector: *useAvg,
-		CI:             *showCI,
-		Backends:       backends,
-	}
 	for _, b := range backends {
-		if err := experiments.ValidateBackend(b); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		if !experiments.HermeticBackend(b) {
-			fmt.Fprintf(os.Stderr, "experiments: -backend %s: campaigns need hermetic per-run state; use mem, object, or latency\n", b)
-			os.Exit(2)
-		}
+		shared.Check(cli.CampaignBackend(b))
 	}
-	var progressTo io.Writer
-	if *progress {
-		progressTo = os.Stderr
+	served, err := shared.Serve(os.Stdout)
+	shared.Check(err)
+	if served {
+		return
 	}
-	bus, finishEvents, err := progressui.Wire(progressTo, *traceOut, os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	o.Events = bus
-	// Share one engine across every sweep this invocation runs (-all runs
-	// several), so each distinct world's Setup and profile pass execute
-	// once per process instead of once per sweep.
-	o.Engine = o.NewEngine()
-	if *adaptive > 0 {
-		if *shardStr != "" {
-			// A shard owns every n-th run index, never a complete prefix, so
-			// an adaptive rule cannot evaluate its barriers on one.
-			fmt.Fprintln(os.Stderr, "experiments: -adaptive cannot run under -shard (a shard never holds a complete run prefix); drop one of them")
-			os.Exit(2)
-		}
-		o.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
-	}
-
-	die := func(err error) {
-		// Flush the trace subscribers so a failed grid still leaves a
-		// complete event file behind.
-		if ferr := finishEvents(); ferr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", ferr)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-
-	if (*resume || *shardStr != "" || *report != "" || len(mergeSrcs) > 0) && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume, -shard, -report, and -merge all operate on a results store; add -out DIR")
+	wantTable := func(n int) bool { return *all || *table == n }
+	wantFig := func(n int) bool { return *all || *fig == n }
+	if !*all && !*ablation && !*detector && !*tiered && !*rw &&
+		(*table < 1 || *table > 4) && (*fig < 5 || *fig > 9) {
+		flag.Usage()
 		os.Exit(2)
 	}
-	if len(mergeSrcs) > 0 {
-		if err := results.Merge(*storeDir, mergeSrcs...); err != nil {
-			die(err)
-		}
-		fmt.Printf("merged %d shard stores into %s\n", len(mergeSrcs), *storeDir)
-		return
-	}
-	if *report != "" {
-		st, err := results.Open(*storeDir)
-		if err != nil {
-			die(err)
-		}
-		out, err := results.Report(st, *report)
-		if err != nil {
-			die(err)
-		}
-		fmt.Print(out)
-		return
-	}
-	if *storeDir != "" {
-		shard, err := results.ParseShard(*shardStr)
-		if err != nil {
-			die(err)
-		}
-		st, err := results.CreateOrResume(*storeDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Shard: shard.String(),
-		})
-		if err != nil {
-			die(err)
-		}
-		o.RunGrid = func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
-			return results.RunGrid(e, st, shard, specs)
-		}
-	}
+	o, err := shared.Start(experiments.Options{
+		MetaStride: *stride,
+		Backends:   backends,
+	}, os.Stderr)
+	shared.Check(err)
+
 	saveImages := func(prefix string, images map[string][]byte) {
 		if *outdir == "" {
 			return
 		}
-		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			die(err)
-		}
+		shared.Check(os.MkdirAll(*outdir, 0o755))
 		for name, data := range images {
 			p := filepath.Join(*outdir, fmt.Sprintf("%s_%s.pgm", prefix, name))
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				die(err)
-			}
+			shared.Check(os.WriteFile(p, data, 0o644))
 			fmt.Printf("  wrote %s\n", p)
 		}
 	}
 
-	wantTable := func(n int) bool { return *all || *table == n }
-	wantFig := func(n int) bool { return *all || *fig == n }
-	ranSomething := false
-
 	if wantTable(1) {
 		fmt.Println(experiments.Table1())
-		ranSomething = true
 	}
 	if wantTable(2) {
 		fmt.Println(experiments.Table2())
-		ranSomething = true
 	}
 	if wantTable(3) {
 		out, _, err := experiments.Table3(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if wantTable(4) {
 		out, _, err := experiments.Table4(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if wantFig(5) {
 		out, images, err := experiments.Fig5(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
 		saveImages("fig5", images)
-		ranSomething = true
 	}
 	if wantFig(6) {
 		out, err := experiments.Fig6(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if wantFig(7) {
 		out, _, err := experiments.Fig7(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if wantFig(8) {
 		out, err := experiments.Fig8(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if wantFig(9) {
 		out, images, err := experiments.Fig9(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
 		saveImages("fig9", images)
-		ranSomething = true
 	}
 	if *ablation || *all {
 		out, err := experiments.Ablations(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if *detector || *all {
 		out, err := experiments.Fig7WithDetector(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
 	if *tiered || *all {
 		models := experiments.Fig7Models()
 		if *model != "" {
 			m, err := core.ParseModel(*model)
-			if err != nil {
-				die(err)
-			}
+			shared.Check(err)
 			models = []core.Model{m}
 		}
 		for _, m := range models {
 			out, _, err := experiments.Tiered(nil, m, o)
-			if err != nil {
-				die(err)
-			}
+			shared.Check(err)
 			fmt.Println(out)
 		}
-		ranSomething = true
 	}
 	if *rw || *all {
 		out, _, err := experiments.ReadWriteGrid(o)
-		if err != nil {
-			die(err)
-		}
+		shared.Check(err)
 		fmt.Println(out)
-		ranSomething = true
 	}
-	if err := finishEvents(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", err)
-	}
-	if !ranSomething {
-		flag.Usage()
-		os.Exit(2)
-	}
+	shared.Finish()
 }

@@ -24,12 +24,9 @@
 //	ffis -app nyx -model bf -mount /plt00000=latency:bb -arm /plt00000
 //	ffis -app MT2 -model dw -backend object:lag=2
 //
-// Persistent results: -out streams every run record to a JSONL store as it
-// completes, so a killed campaign loses nothing and the stored records can
-// be re-rendered later. -resume continues an interrupted store from the
-// first missing run, -shard i/n executes only that slice of the run indices
-// (run each shard on its own machine into its own -out, then -merge them),
-// and -report re-renders a store without re-running anything. All of it is
+// The flags shared with cmd/experiments — run budget, seed, -jobs,
+// -adaptive, -ci, -progress, -trace, and the results store
+// (-out/-resume/-shard/-merge/-report) — come from internal/cli. Stores are
 // seed-deterministic: resumed and merged stores are byte-identical to an
 // uninterrupted single-process run.
 //
@@ -44,243 +41,84 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"ffis/internal/classify"
+	"ffis/internal/cli"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
-	progressui "ffis/internal/progress"
-	"ffis/internal/results"
-	"ffis/internal/stats"
-	"ffis/internal/trace"
-	"ffis/internal/vfs"
 )
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return strings.Join(*l, ",") }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func main() {
+	shared := cli.Register("ffis", flag.CommandLine)
 	var (
-		app      = flag.String("app", "nyx", "campaign cell: nyx, qmcpack, MT1, MT2, MT3, MT4")
-		model    = flag.String("model", "bf", "fault model name, short code, or alias (see -list-models); 'list' prints the registry")
-		listOnly = flag.Bool("list-models", false, "print the fault-model registry table and exit")
-		runs     = flag.Int("runs", 1000, "fault-injection runs (the paper uses 1000)")
-		seed     = flag.Uint64("seed", 2021, "campaign seed")
-		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		jobs     = flag.Int("jobs", 0, "campaign engine pool width (0 = -workers, then GOMAXPROCS)")
-		progress = flag.Bool("progress", false, "stream campaign progress to stderr")
-		nyxN     = flag.Int("nyx-n", 0, "override the Nyx grid edge (0 = default 48)")
-		useAvg   = flag.Bool("avg-detector", false, "apply the Nyx average-value detection method")
-		asCSV    = flag.Bool("csv", false, "emit CSV instead of a table")
-		asJSON   = flag.Bool("json", false, "emit the machine-readable JSON result")
-		ioTrace  = flag.Bool("iotrace", false, "print the workload's fault-free I/O pattern profile first")
-		traceOut = flag.String("trace", "", "stream per-run lifecycle events (spec_start, run_done with stage timings, barriers, spec_done) as JSONL to this file")
-		adaptive = flag.Float64("adaptive", 0, "adaptive stopping: halt when every outcome rate's Wilson 95% half-width is under this target (-runs becomes the budget cap; 0 = fixed budget)")
-		showCI   = flag.Bool("ci", false, "render outcome columns as rate ±halfwidth (Wilson 95%)")
-		shots    = flag.Int("shots", 0, "override the fault model's shot budget (0 = model default; >1 only affects multi-shot models)")
-		backend  = flag.String("backend", "mem", "storage backend of the flat world: mem, object[:lag=N], latency[:bb|:pfs] (with -mount, set backends per mount instead)")
+		app     = flag.String("app", "nyx", "campaign cell: nyx, qmcpack, MT1, MT2, MT3, MT4")
+		model   = flag.String("model", "bf", "fault model name, short code, or alias (see -list-models); 'list' prints the registry")
+		asCSV   = flag.Bool("csv", false, "emit CSV instead of a table")
+		asJSON  = flag.Bool("json", false, "emit the machine-readable JSON result")
+		ioTrace = flag.Bool("iotrace", false, "print the workload's fault-free I/O pattern profile first")
+		shots   = flag.Int("shots", 0, "override the fault model's shot budget (0 = model default; >1 only affects multi-shot models)")
+		backend = flag.String("backend", "mem", "storage backend of the flat world: mem, object[:lag=N], latency[:bb|:pfs] (with -mount, set backends per mount instead)")
 	)
-	var (
-		outDir    = flag.String("out", "", "stream run records to a JSONL results store at this directory")
-		resume    = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted runs")
-		shardSpec = flag.String("shard", "", "execute only shard i/n of the run indices (requires -out; e.g. 0/4)")
-		reportFmt = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
-	)
-	var mountSpecs, armMounts, mergeSrcs stringList
+	var mountSpecs, armMounts cli.StringList
 	flag.Var(&mountSpecs, "mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs], os:DIR)")
 	flag.Var(&armMounts, "arm", "arm the injector only on this mount point (repeatable; requires -mount)")
-	flag.Var(&mergeSrcs, "merge", "merge this shard store into -out (repeatable) and exit without running")
 	flag.Parse()
 
-	if *listOnly || strings.EqualFold(*model, "list") {
+	if shared.ListModels || strings.EqualFold(*model, "list") {
 		fmt.Print(core.ModelTable())
 		return
 	}
-
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(1)
-	}
-	if (*resume || *shardSpec != "" || *reportFmt != "" || len(mergeSrcs) > 0) && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "ffis: -resume, -shard, -report, and -merge all operate on a results store; add -out DIR")
-		os.Exit(2)
-	}
-	if len(mergeSrcs) > 0 {
-		if err := results.Merge(*outDir, mergeSrcs...); err != nil {
-			fail(err)
-		}
-		fmt.Printf("merged %d shard stores into %s\n", len(mergeSrcs), *outDir)
+	served, err := shared.Serve(os.Stdout)
+	shared.Check(err)
+	if served {
 		return
 	}
-	if *reportFmt != "" {
-		st, err := results.Open(*outDir)
-		if err != nil {
-			fail(err)
-		}
-		out, err := results.Report(st, *reportFmt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(out)
-		return
-	}
-	fm, err := core.ParseModel(*model)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(2)
-	}
+	fm, mounts, err := validate(*model, *backend, mountSpecs, armMounts)
+	shared.Check(err)
+	opts, err := shared.Start(experiments.Options{
+		Mounts:    mounts,
+		Backend:   *backend,
+		ArmMounts: armMounts,
+		Shots:     *shots,
+	}, os.Stderr)
+	shared.Check(err)
 
-	mounts, err := experiments.ParseMountSpecs(mountSpecs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(2)
-	}
-	for _, m := range mounts {
-		// A campaign's statistics assume a fresh, hermetic world per run;
-		// an os: backend is one shared host directory mutated by every
-		// (possibly parallel) run. Reject it here rather than tally noise.
-		if !experiments.HermeticBackend(m.Backend) {
-			fmt.Fprintf(os.Stderr, "ffis: mount %s=%s: campaigns need hermetic per-run state; use a hermetic backend (os: backends are for library-level one-shot inspection)\n", m.Path, m.Backend)
-			os.Exit(2)
-		}
-	}
-	if err := experiments.ValidateBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(2)
-	}
-	if !experiments.HermeticBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "ffis: -backend %s: campaigns need hermetic per-run state; use mem, object, or latency\n", *backend)
-		os.Exit(2)
-	}
-	if *backend != "mem" && len(mounts) > 0 {
-		fmt.Fprintln(os.Stderr, "ffis: -backend applies to the flat world only; with -mount, name backends per mount (PATH=BACKEND)")
-		os.Exit(2)
-	}
-	if len(armMounts) > 0 && len(mounts) == 0 {
-		fmt.Fprintln(os.Stderr, "ffis: -arm needs a mounted world; add -mount flags")
-		os.Exit(2)
-	}
-	opts := experiments.Options{
-		Runs:           *runs,
-		Seed:           *seed,
-		Workers:        *workers,
-		Jobs:           *jobs,
-		NyxN:           *nyxN,
-		UseAvgDetector: *useAvg,
-		Mounts:         mounts,
-		Backend:        *backend,
-		ArmMounts:      armMounts,
-		Shots:          *shots,
-		CI:             *showCI,
-	}
-	if *adaptive > 0 {
-		if *shardSpec != "" {
-			// A shard owns every n-th run index, never a complete prefix, so
-			// an adaptive rule cannot evaluate its barriers on one.
-			fmt.Fprintln(os.Stderr, "ffis: -adaptive cannot run under -shard (a shard never holds a complete run prefix); drop one of them")
-			os.Exit(2)
-		}
-		opts.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
-	}
-	var progressTo io.Writer
-	if *progress {
-		progressTo = os.Stderr
-	}
-	bus, finishEvents, err := progressui.Wire(progressTo, *traceOut, os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	opts.Events = bus
-	// One engine for everything this invocation runs, so world snapshots
-	// and profile passes memoize across grids instead of per call.
-	opts.Engine = opts.NewEngine()
-	if *outDir != "" {
-		shard, err := results.ParseShard(*shardSpec)
-		if err != nil {
-			fail(err)
-		}
-		manBackend := *backend
-		if manBackend == "mem" {
-			manBackend = ""
-		}
-		st, err := results.CreateOrResume(*outDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Shard: shard.String(), Backend: manBackend,
-		})
-		if err != nil {
-			fail(err)
-		}
-		opts.RunGrid = func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
-			return results.RunGrid(e, st, shard, specs)
-		}
-	}
+	// One spec, built once: -iotrace profiles exactly the workload the
+	// campaign then runs (the pipeline variant under read-path models).
+	spec, err := experiments.CellSpec(*app, fm, opts)
+	shared.Check(err)
 	if *ioTrace {
-		w, err := experiments.NewWorkload(*app, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-			os.Exit(1)
-		}
-		// Trace on the same world the campaign will run on, so the printed
-		// profile matches what ProfileMounts is about to count.
-		world := vfs.FS(vfs.NewMemFS())
-		if w.NewFS != nil {
-			world, err = w.NewFS()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ffis: trace world: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		rec := trace.NewRecorder(world)
-		if w.Setup != nil {
-			if err := w.Setup(rec); err != nil {
-				fmt.Fprintf(os.Stderr, "ffis: trace setup: %v\n", err)
-				os.Exit(1)
-			}
-			rec.Reset() // profile only the instrumented phase
-		}
-		if err := w.Run(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "ffis: trace run: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(trace.Analyze(rec.Log()).Render())
+		prof, err := cli.TraceSpec(spec)
+		shared.Check(err)
+		fmt.Print(prof.Render())
 	}
-
-	res, err := experiments.Fig7Cell(*app, fm, opts)
+	grid, err := opts.RunGrid(opts.Engine, []core.CampaignSpec{spec})
+	shared.Check(err)
+	res := grid[0].Result
 	// Flush the event subscribers before rendering: the trace file must be
 	// complete (and its drop count reported) whether the campaign
 	// succeeded or not.
-	if ferr := finishEvents(); ferr != nil {
-		fmt.Fprintf(os.Stderr, "ffis: trace: %v\n", ferr)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(1)
-	}
+	shared.Finish()
+	shared.Check(grid[0].Err)
 	if len(armMounts) > 0 {
 		fmt.Printf("injector armed on mounts: %s (all other tiers stay clean)\n",
 			strings.Join(armMounts, ", "))
 	}
-	if *outDir != "" {
+	if shared.Out != "" {
 		note := ""
-		if *shardSpec != "" {
-			note = fmt.Sprintf(" (shard %s)", *shardSpec)
+		if shared.Shard != "" {
+			note = fmt.Sprintf(" (shard %s)", shared.Shard)
 		}
 		fmt.Printf("run records persisted to %s%s; re-render any time with -out %s -report FORMAT\n",
-			*outDir, note, *outDir)
+			shared.Out, note, shared.Out)
 	}
 	fmt.Printf("fault signature: %s\n", res.Signature)
 	fmt.Printf("profiled %d dynamic executions of the target primitive\n", res.ProfileCount)
 	if res.StopIndex > 0 {
 		fmt.Printf("adaptive stop at run %d of the %d-run budget (target half-width %.3g)\n",
-			res.StopIndex, *runs, *adaptive)
+			res.StopIndex, shared.Runs, shared.Adaptive)
 	}
 	if res.SimNanos > 0 {
 		fmt.Printf("simulated I/O time: %.3fms across all runs\n", float64(res.SimNanos)/1e6)
@@ -288,19 +126,47 @@ func main() {
 	executed := res.Tally.Total()
 	switch {
 	case *asJSON:
-		if err := core.WriteResultsJSON(os.Stdout, []core.CampaignResult{res}); err != nil {
-			fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-			os.Exit(1)
-		}
-	case *asCSV && *showCI:
+		shared.Check(core.WriteResultsJSON(os.Stdout, []core.CampaignResult{res}))
+	case *asCSV && shared.CI:
 		fmt.Print(classify.CSVCI([]classify.Cell{res.Cell()}))
 	case *asCSV:
 		fmt.Print(classify.CSV([]classify.Cell{res.Cell()}))
-	case *showCI:
+	case shared.CI:
 		fmt.Print(classify.TableCI(fmt.Sprintf("campaign %s (%d runs)", res.Cell().Label, executed),
 			[]classify.Cell{res.Cell()}))
 	default:
 		fmt.Print(classify.Table(fmt.Sprintf("campaign %s (%d runs)", res.Cell().Label, executed),
 			[]classify.Cell{res.Cell()}))
 	}
+}
+
+// validate checks the command's own flags: the fault model and the world
+// shape. Campaigns need hermetic per-run state, so host-directory (os:)
+// backends are refused.
+func validate(model, backend string, mountSpecs, armMounts []string) (core.Model, []experiments.MountSpec, error) {
+	fm, err := core.ParseModel(model)
+	if err != nil {
+		return nil, nil, cli.Usagef("%v", err)
+	}
+	mounts, err := experiments.ParseMountSpecs(mountSpecs)
+	if err != nil {
+		return nil, nil, cli.Usagef("%v", err)
+	}
+	for _, m := range mounts {
+		// An os: backend is one shared host directory mutated by every
+		// (possibly parallel) run; reject it here rather than tally noise.
+		if !experiments.HermeticBackend(m.Backend) {
+			return nil, nil, cli.Usagef("mount %s=%s: campaigns need hermetic per-run state; use a hermetic backend (os: backends are for library-level one-shot inspection)", m.Path, m.Backend)
+		}
+	}
+	if err := cli.CampaignBackend(backend); err != nil {
+		return nil, nil, err
+	}
+	if backend != "mem" && len(mounts) > 0 {
+		return nil, nil, cli.Usagef("-backend applies to the flat world only; with -mount, name backends per mount (PATH=BACKEND)")
+	}
+	if len(armMounts) > 0 && len(mounts) == 0 {
+		return nil, nil, cli.Usagef("-arm needs a mounted world; add -mount flags")
+	}
+	return fm, mounts, nil
 }

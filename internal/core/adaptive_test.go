@@ -9,16 +9,15 @@ import (
 )
 
 // adaptiveToyCampaign runs the toy workload under bit-flip with the given
-// rule and worker count.
+// rule and pool width.
 func adaptiveToyCampaign(t *testing.T, rule *stats.StopRule, workers int) CampaignResult {
 	t.Helper()
-	res, err := Campaign(CampaignConfig{
-		Fault:   Config{Model: BitFlip},
-		Runs:    400,
-		Seed:    42,
-		Workers: workers,
-		Stop:    rule,
-	}, toyWorkload())
+	res, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip},
+		Runs:  400,
+		Seed:  42,
+		Stop:  rule,
+	}, toyWorkload(), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +64,9 @@ func TestAdaptiveCapsAtBudget(t *testing.T) {
 // bit-identical to the same index prefix of the fixed-budget campaign — the
 // rule only decides where the sequence ends, never what is in it.
 func TestAdaptivePrefixMatchesFixedBudget(t *testing.T) {
-	fixed, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42, Workers: 4,
-	}, toyWorkload())
+	fixed, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42,
+	}, toyWorkload(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +93,15 @@ func TestAdaptiveResumeWithPriorOutcomes(t *testing.T) {
 	for _, rec := range full.Records[:persisted] {
 		prior[rec.Index] = rec.Outcome
 	}
-	res, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42, Workers: 4,
+	res, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42,
 		Stop:      rule,
 		RunFilter: func(idx int) bool { return idx >= persisted },
 		PriorOutcome: func(idx int) (classify.Outcome, bool) {
 			o, ok := prior[idx]
 			return o, ok
 		},
-	}, toyWorkload())
+	}, toyWorkload(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +120,16 @@ func TestAdaptiveResumeWithPriorOutcomes(t *testing.T) {
 // not know must fail the campaign rather than mis-evaluate the rule.
 func TestAdaptiveRequiresPriorForFilteredRuns(t *testing.T) {
 	cfg := CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1, Workers: 2,
+		Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1,
 		Stop:      &stats.StopRule{TargetHalfWidth: 0.1},
 		RunFilter: func(idx int) bool { return idx%2 == 0 },
 	}
-	if _, err := Campaign(cfg, toyWorkload()); err == nil ||
+	if _, err := campaignJobs(cfg, toyWorkload(), 2); err == nil ||
 		!strings.Contains(err.Error(), "PriorOutcome") {
 		t.Fatalf("err = %v, want PriorOutcome requirement", err)
 	}
 	cfg.PriorOutcome = func(int) (classify.Outcome, bool) { return 0, false }
-	if _, err := Campaign(cfg, toyWorkload()); err == nil ||
+	if _, err := campaignJobs(cfg, toyWorkload(), 2); err == nil ||
 		!strings.Contains(err.Error(), "no persisted outcome") {
 		t.Fatalf("err = %v, want missing-prior failure", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"ffis/internal/classify"
 	"ffis/internal/stats"
@@ -54,8 +53,6 @@ type CampaignConfig struct {
 	Runs int
 	// Seed makes the campaign reproducible; run i derives its own stream.
 	Seed uint64
-	// Workers bounds parallel runs; <= 0 selects GOMAXPROCS.
-	Workers int
 	// ArmMounts restricts injection (and the profiling count) to the I/O
 	// routed to these mount points of the workload's *vfs.MountFS world:
 	// the fault lives in one storage tier, every other tier stays clean.
@@ -79,7 +76,7 @@ type CampaignConfig struct {
 	Sink RecordSink
 	// DiscardRecords drops the per-run Records slice from the
 	// CampaignResult — the Tally still covers every run — so large grids
-	// that stream records to a Sink (or only need rates) run in O(workers)
+	// that stream records to a Sink (or only need rates) run in O(pool)
 	// memory instead of O(Runs).
 	DiscardRecords bool
 	// RunFilter, when non-nil, selects which run indices in [0, Runs)
@@ -97,7 +94,7 @@ type CampaignConfig struct {
 	// campaign stops there. Runs is the fixed budget the rule is normalized
 	// against (its MaxRuns cap). Because barriers are index-determined and
 	// each run's outcome derives purely from (Seed, index), the stopping
-	// index is independent of Workers and scheduling. Nil keeps the classic
+	// index is independent of pool width (Engine.Jobs) and scheduling. Nil keeps the classic
 	// fixed-budget campaign, bit for bit.
 	Stop *stats.StopRule
 	// PriorOutcome reports the already-persisted outcome of a run index the
@@ -235,7 +232,7 @@ type CampaignResult struct {
 	// SimNanos is the total simulated I/O time over all executed runs,
 	// zero when the world has no latency-modeled backend. Deterministic:
 	// per-run charges are interleaving-independent sums, so the total
-	// depends only on (Seed, Runs), never on Workers.
+	// depends only on (Seed, Runs), never on Engine.Jobs.
 	SimNanos int64
 }
 
@@ -326,57 +323,21 @@ func runRecovering(run func(vfs.FS) error, fs vfs.FS) (err error) {
 	return run(fs)
 }
 
-// Campaign executes a full statistical fault-injection campaign: Setup runs
-// once and is snapshotted, a profiling pass on a snapshot clone counts the
-// target primitive, then cfg.Runs injection runs — each on its own cheap
+// Campaign executes a full statistical fault-injection campaign as one spec
+// on a default Engine (a GOMAXPROCS-wide pool): Setup runs once and is
+// snapshotted, a profiling pass on a snapshot clone counts the target
+// primitive, then cfg.Runs injection runs — each on its own cheap
 // copy-on-write clone of the post-Setup world — draw uniformly random
 // targets and are classified against the workload's own notion of the
 // golden output.
 func Campaign(cfg CampaignConfig, w Workload) (CampaignResult, error) {
-	if cfg.Runs <= 0 {
-		return CampaignResult{}, errors.New("core: campaign needs Runs > 0")
-	}
-	sig := cfg.Fault.Signature()
-	if err := sig.Validate(); err != nil {
-		return CampaignResult{}, err
-	}
-	snap, err := newSnapshot(w, cfg.FreshWorlds)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	world, err := snap.World()
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	count, err := profileWorld(world, w, sig, cfg.ArmMounts)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	if count == 0 {
-		return CampaignResult{}, ErrNoTargets
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-	r := &Runner{
-		Workload:     w,
-		Config:       cfg,
-		Snapshot:     snap,
-		ProfileCount: count,
-		Pool:         make(chan struct{}, workers),
-	}
-	return r.Run()
+	r := (&Engine{}).Run([]CampaignSpec{{Workload: w, Config: cfg}})[0]
+	return r.Result, r.Err
 }
 
 // runStream derives run idx's independent, reproducible RNG stream from the
-// campaign seed. Both Campaign and Engine use it, so a cell produces the
-// same per-run draws no matter which scheduler executes it or how wide the
-// worker pool is.
+// campaign seed, so a cell produces the same per-run draws no matter how
+// wide the worker pool is or how its runs interleave.
 func runStream(seed uint64, idx int) *stats.RNG {
 	return stats.NewRNG(seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15)
 }

@@ -97,14 +97,20 @@ func TestCampaignBitFlipAlwaysCorrupts(t *testing.T) {
 	}
 }
 
+// campaignJobs runs cfg as one spec on an Engine whose pool is jobs wide:
+// the width knob the determinism tests vary.
+func campaignJobs(cfg CampaignConfig, w Workload, jobs int) (CampaignResult, error) {
+	r := (&Engine{Jobs: jobs}).Run([]CampaignSpec{{Workload: w, Config: cfg}})[0]
+	return r.Result, r.Err
+}
+
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []classify.Outcome {
-		res, err := Campaign(CampaignConfig{
-			Fault:   Config{Model: BitFlip},
-			Runs:    30,
-			Seed:    42,
-			Workers: workers,
-		}, toyWorkload())
+		res, err := campaignJobs(CampaignConfig{
+			Fault: Config{Model: BitFlip},
+			Runs:  30,
+			Seed:  42,
+		}, toyWorkload(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,8 @@ type CampaignSpec struct {
 	// grids mixing flat and tiered variants of one application must set it.
 	WorldKey string
 	Workload Workload
-	// Config drives the campaign. Workers is ignored: the engine's shared
-	// pool (Engine.Jobs) bounds parallelism across the whole grid.
+	// Config drives the campaign; the engine's shared pool (Engine.Jobs)
+	// bounds its parallelism together with every other spec of the grid.
 	Config CampaignConfig
 }
 
@@ -240,8 +240,8 @@ func (e *Engine) Run(specs []CampaignSpec) []GridResult {
 }
 
 // runSpec runs one campaign cell on the shared pool: validate, memoized
-// profile + snapshot, then hand the spec to a Runner. Failures before the
-// Runner starts still close the spec's event stream with a terminal
+// profile + snapshot, then hand the spec to a runner. Failures before the
+// runner starts still close the spec's event stream with a terminal
 // SpecDone so subscribers see every campaign bracketed.
 func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, error) {
 	cfg := spec.Config
@@ -274,7 +274,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, 
 	if err != nil {
 		return fail(err)
 	}
-	r := &Runner{
+	r := &runner{
 		Key:          spec.Key,
 		Workload:     spec.Workload,
 		Config:       cfg,

@@ -59,14 +59,13 @@ func TestCampaignDeterminismHarness(t *testing.T) {
 			c, model := c, model
 			t.Run(fmt.Sprintf("%s/%s", c.name, model.Short()), func(t *testing.T) {
 				run := func(workers int, fresh bool) CampaignResult {
-					res, err := Campaign(CampaignConfig{
+					res, err := campaignJobs(CampaignConfig{
 						Fault:       Config{Model: model},
 						Runs:        24,
 						Seed:        4242,
-						Workers:     workers,
 						ArmMounts:   c.armMounts,
 						FreshWorlds: fresh,
-					}, c.workload())
+					}, c.workload(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -138,20 +137,20 @@ func TestEngineOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesCampaign pins the engine to the standalone Campaign
-// path: one spec through the grid scheduler equals a direct Campaign call
-// under the same seed.
+// TestEngineMatchesCampaign pins Campaign to its definition: one spec on a
+// default Engine, so a direct Campaign call equals the same spec on a
+// one-wide engine pool under the same seed.
 func TestEngineMatchesCampaign(t *testing.T) {
 	cfg := CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 20, Seed: 99}
 	direct, err := Campaign(cfg, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := (&Engine{Jobs: 2}).Run([]CampaignSpec{{Key: "solo", Workload: toyWorkload(), Config: cfg}})
-	if grid[0].Err != nil {
-		t.Fatal(grid[0].Err)
+	serial, err := campaignJobs(cfg, toyWorkload(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireSameResult(t, "engine vs campaign", direct, grid[0].Result)
+	requireSameResult(t, "Campaign vs Engine{Jobs: 1}", direct, serial)
 }
 
 // TestEngineMixedWorldModes pins the memoization boundary: specs sharing a
@@ -421,8 +420,9 @@ func TestWorldSnapshotModes(t *testing.T) {
 type plainFS struct{ vfs.FS }
 
 // TestSweepPlumbsArmMounts is the regression test for the tiered-ablation
-// fix: a sweep over a mounted world must profile (and inject) only the I/O
-// routed to the armed tier, not the whole flat world.
+// fix: sweep points run as engine specs over a mounted world must profile
+// (and inject) only the I/O routed to the armed tier, not the whole flat
+// world.
 func TestSweepPlumbsArmMounts(t *testing.T) {
 	w := tieredWorkload()
 	sig := Config{Model: BitFlip}.Signature()
@@ -438,22 +438,26 @@ func TestSweepPlumbsArmMounts(t *testing.T) {
 		t.Fatalf("scratch tier profile %d should be a proper nonzero subset of the whole world's %d", armed, whole)
 	}
 
-	results, err := Sweep(FlipWidthSweep(), CampaignConfig{
-		Runs:      6,
-		Seed:      2,
-		ArmMounts: []string{"/scratch"},
-	}, w)
-	if err != nil {
-		t.Fatal(err)
+	var specs []CampaignSpec
+	for _, pt := range FlipWidthSweep() {
+		specs = append(specs, CampaignSpec{Key: pt.Label, Workload: w, Config: CampaignConfig{
+			Fault:     pt.Fault,
+			Runs:      6,
+			Seed:      2,
+			ArmMounts: []string{"/scratch"},
+		}})
 	}
-	for _, r := range results {
-		if r.ProfileCount != armed {
-			t.Fatalf("%s: profile count %d — sweep dropped ArmMounts (whole world would be %d)",
-				r.Workload, r.ProfileCount, whole)
+	for _, r := range (&Engine{}).Run(specs) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
 		}
-		for _, rec := range r.Records {
+		if r.Result.ProfileCount != armed {
+			t.Fatalf("%s: profile count %d — sweep dropped ArmMounts (whole world would be %d)",
+				r.Spec.Key, r.Result.ProfileCount, whole)
+		}
+		for _, rec := range r.Result.Records {
 			if rec.Fired && rec.Mutation.Path != "/scratch/mid.dat" {
-				t.Fatalf("%s: fault fired outside the armed tier: %s", r.Workload, rec.Mutation)
+				t.Fatalf("%s: fault fired outside the armed tier: %s", r.Spec.Key, rec.Mutation)
 			}
 		}
 	}

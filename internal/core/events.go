@@ -31,7 +31,7 @@ const (
 
 // Event is one item of the unified run-lifecycle stream every execution
 // path (Campaign, Engine grids, persisted grids, distributed workers)
-// emits through the Runner. Fields beyond Kind and Key are populated per
+// emits through the engine's one runner. Fields beyond Kind and Key are populated per
 // kind; per-stage timings live here and only here — RunRecord stays a
 // pure function of (spec, seed, index) so persisted record bytes never
 // depend on wall-clock noise.

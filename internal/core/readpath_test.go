@@ -361,13 +361,12 @@ func TestReadModelCampaignDeterminism(t *testing.T) {
 		model := model
 		t.Run(model.Short(), func(t *testing.T) {
 			run := func(workers int, fresh bool) CampaignResult {
-				res, err := Campaign(CampaignConfig{
+				res, err := campaignJobs(CampaignConfig{
 					Fault:       Config{Model: model},
 					Runs:        24,
 					Seed:        777,
-					Workers:     workers,
 					FreshWorlds: fresh,
-				}, readWorkload())
+				}, readWorkload(), workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -85,13 +85,12 @@ func TestRunInjectionsTalliesAllSuccessfulRuns(t *testing.T) {
 		}
 		return vfs.NewMemFS(), nil
 	}
-	res, err := Campaign(CampaignConfig{
+	res, err := campaignJobs(CampaignConfig{
 		Fault:       Config{Model: BitFlip},
 		Runs:        runs,
 		Seed:        11,
-		Workers:     1,
 		FreshWorlds: true, // rebuild per run so NewFS is hit once per run
-	}, w)
+	}, w, 1)
 	if err == nil {
 		t.Fatal("expected the failing run's error to propagate")
 	}
@@ -136,14 +135,13 @@ func (s *collectSink) Record(rec RunRecord) error {
 func TestCampaignStreamsRecordsToSink(t *testing.T) {
 	const runs = 8
 	sink := &collectSink{}
-	res, err := Campaign(CampaignConfig{
+	res, err := campaignJobs(CampaignConfig{
 		Fault:          Config{Model: BitFlip},
 		Runs:           runs,
 		Seed:           5,
-		Workers:        4,
 		Sink:           sink,
 		DiscardRecords: true,
-	}, toyWorkload())
+	}, toyWorkload(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +162,9 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 	}
 	// The streamed records must be exactly the records an unsunk campaign
 	// retains (completion order aside).
-	plain, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Workers: 1,
-	}, toyWorkload())
+	plain, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5,
+	}, toyWorkload(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +185,9 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 
 func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 	sink := &collectSink{failAt: 3}
-	_, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 6, Seed: 5, Workers: 1, Sink: sink,
-	}, toyWorkload())
+	_, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 6, Seed: 5, Sink: sink,
+	}, toyWorkload(), 1)
 	if err == nil || !strings.Contains(err.Error(), "record sink") {
 		t.Fatalf("sink failure must fail the campaign; got %v", err)
 	}
@@ -200,16 +198,16 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 
 func TestCampaignRunFilterExecutesSubsetDeterministically(t *testing.T) {
 	const runs = 10
-	full, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Workers: 2,
-	}, toyWorkload())
+	full, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9,
+	}, toyWorkload(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Workers: 2,
+	half, err := campaignJobs(CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9,
 		RunFilter: func(idx int) bool { return idx%2 == 1 },
-	}, toyWorkload())
+	}, toyWorkload(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

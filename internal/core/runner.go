@@ -11,16 +11,14 @@ import (
 	"ffis/internal/vfs"
 )
 
-// Runner owns the per-run campaign lifecycle — clone-or-rebuild the
+// runner owns the per-run campaign lifecycle — clone-or-rebuild the
 // world, arm the injector, run the workload, classify the artifact,
 // record and tally — for exactly one spec, parameterized by the
 // CampaignConfig hooks (Sink, RunFilter, Abort, Stop barriers,
 // PriorOutcome). It is the only place in the tree that sequences those
-// stages: Campaign and Engine.runSpec are thin drivers that differ only
-// in where the snapshot, profile count, and worker pool come from, and
-// every other layer (persisted grids, distributed workers) goes through
-// them.
-type Runner struct {
+// stages, and Engine.runSpec is the only place that builds one: Campaign,
+// persisted grids and distributed workers all run specs on an Engine.
+type runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
 	Key      string
 	Workload Workload
@@ -35,8 +33,7 @@ type Runner struct {
 	// from [0, ProfileCount).
 	ProfileCount int64
 	// Pool bounds concurrent runs: one slot acquired per dispatched run.
-	// Campaign hands the Runner a private pool sized by Workers; the
-	// Engine hands every Runner its single grid-wide pool.
+	// The Engine hands every runner its single grid-wide pool.
 	Pool chan struct{}
 	// Events, when non-nil, receives the spec's structured stream:
 	// SpecStart, one RunDone per successful run, Barrier/StopDecision at
@@ -44,14 +41,14 @@ type Runner struct {
 	Events *EventBus
 }
 
-func (r *Runner) key() string {
+func (r *runner) key() string {
 	if r.Key != "" {
 		return r.Key
 	}
 	return r.Workload.Name
 }
 
-func (r *Runner) publish(ev Event) {
+func (r *runner) publish(ev Event) {
 	if r.Events == nil {
 		return
 	}
@@ -77,7 +74,7 @@ func (r *Runner) publish(ev Event) {
 // delivered to the sink; the returned error reports the lowest failing
 // run index. The result's Tally therefore always covers exactly
 // res.Records (plus nothing else), never a silent prefix of them.
-func (r *Runner) Run() (CampaignResult, error) {
+func (r *runner) Run() (CampaignResult, error) {
 	cfg, w := r.Config, r.Workload
 	sig := cfg.Fault.Signature()
 	count := r.ProfileCount

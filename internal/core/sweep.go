@@ -8,32 +8,13 @@ import (
 	"ffis/internal/classify"
 )
 
-// SweepPoint is one cell of a feature sweep: a fault configuration plus a
-// label for reports.
+// SweepPoint is one cell of a feature sweep — the ablation studies (2-bit
+// vs 4-bit flips, 3/8 vs 7/8 shorn fraction) the paper touches in footnote
+// 3 and Table I: a fault configuration plus a label for reports. The
+// ablations run every point as one engine spec.
 type SweepPoint struct {
 	Label string
 	Fault Config
-}
-
-// Sweep runs the same workload under a series of fault configurations —
-// the mechanism behind the ablation studies (2-bit vs 4-bit flips,
-// 3/8 vs 7/8 shorn fraction) the paper touches in footnote 3 and Table I.
-// Every field of base except Fault is honored per point — in particular
-// ArmMounts, so a sweep over a tiered world keeps its fault placement
-// instead of silently degrading to the flat whole-world arming.
-func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResult, error) {
-	out := make([]CampaignResult, 0, len(points))
-	for _, pt := range points {
-		cfg := base
-		cfg.Fault = pt.Fault
-		res, err := Campaign(cfg, w)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %q: %w", pt.Label, err)
-		}
-		res.Workload = w.Name + "/" + pt.Label
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // FlipWidthSweep returns the bit-flip width ablation points (the paper's

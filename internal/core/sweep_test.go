@@ -3,56 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
-
-	"ffis/internal/classify"
 )
-
-func TestSweepRunsAllPoints(t *testing.T) {
-	pts := FlipWidthSweep()
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	results, err := Sweep(pts, CampaignConfig{Runs: 8, Seed: 7}, toyWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.Tally.Total() != 8 {
-			t.Fatalf("point %d total = %d", i, r.Tally.Total())
-		}
-		if !strings.HasPrefix(r.Workload, "toy/flip") {
-			t.Fatalf("label = %q", r.Workload)
-		}
-		// Every flip in the toy workload corrupts live data.
-		if r.Tally.Count(classify.SDC) != 8 {
-			t.Fatalf("point %d tally: %s", i, r.Tally.String())
-		}
-	}
-}
-
-func TestShornFractionSweepMonotonicity(t *testing.T) {
-	// Keeping less of each block can only lose more data; on the toy
-	// workload (uniform pattern, stale remnant equals fresh data) all
-	// fractions are benign — the point is that the sweep runs and labels
-	// correctly.
-	results, err := Sweep(ShornFractionSweep(), CampaignConfig{Runs: 6, Seed: 3}, toyWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Tally.Total() != 6 {
-			t.Fatalf("total = %d", r.Tally.Total())
-		}
-	}
-	if !strings.Contains(results[0].Workload, "keep1of8") {
-		t.Fatalf("label = %q", results[0].Workload)
-	}
-}
 
 func TestWriteResultsJSON(t *testing.T) {
 	res, err := Campaign(CampaignConfig{

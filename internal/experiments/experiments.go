@@ -28,8 +28,6 @@ type Options struct {
 	Runs int
 	// Seed for all campaigns.
 	Seed uint64
-	// Workers caps campaign parallelism (0 = GOMAXPROCS).
-	Workers int
 	// NyxN overrides the Nyx grid edge (0 = DefaultSim).
 	NyxN int
 	// MetaStride samples the Table III byte sweep (1 = exhaustive).
@@ -55,13 +53,8 @@ type Options struct {
 	ArmMounts []string
 	// Jobs bounds the campaign engine's shared worker pool across a whole
 	// grid (every cell of Fig7, Ablations, Fig7WithDetector, Tiered draws
-	// runs from one pool). 0 falls back to Workers, then GOMAXPROCS
-	// (cmd flag -jobs).
+	// runs from one pool). 0 selects GOMAXPROCS (cmd flag -jobs).
 	Jobs int
-	// Events, when set, is the event bus the engine publishes every
-	// campaign's run-lifecycle stream to; the CLIs subscribe their
-	// progress renderer (-progress) and trace writer (-trace) here.
-	Events *core.EventBus
 	// RunGrid, when set, replaces Engine.Run for every campaign grid in
 	// this package: the persistence layer (internal/results.RunGrid via
 	// the CLIs' -out/-resume/-shard flags) injects itself here to stream
@@ -85,29 +78,19 @@ type Options struct {
 	// runs on. The engine memoizes built worlds, snapshots, and profile
 	// counts by WorldKey, so sharing one across sweeps (cmd -all, the
 	// distributed worker's successive leases) means each distinct world's
-	// Setup executes once per process instead of once per sweep. Nil builds
-	// a fresh engine per grid, exactly as before.
+	// Setup executes once per process instead of once per sweep. Its
+	// Events bus carries every campaign's run-lifecycle stream (the CLIs'
+	// -progress and -trace). Nil builds a fresh, silent engine per grid.
 	Engine *core.Engine
 }
 
-// NewEngine builds the shared grid scheduler for these options. Callers
-// that run several grids (or hand specs to RunGrid themselves) should
-// build one engine and set it on Options.Engine so world memoization
-// spans every sweep.
-func (o Options) NewEngine() *core.Engine {
-	jobs := o.Jobs
-	if jobs <= 0 {
-		jobs = o.Workers
-	}
-	return &core.Engine{Jobs: jobs, Events: o.Events}
-}
-
-// engine resolves the engine grids run on: the shared one when set.
+// engine resolves the engine grids run on: the shared one when set, else a
+// fresh one per grid.
 func (o Options) engine() *core.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return o.NewEngine()
+	return &core.Engine{Jobs: o.Jobs}
 }
 
 // runGrid executes one engine grid through the configured runner: the
@@ -305,28 +288,43 @@ func fig7Spec(cellName string, w core.Workload, model core.Model, o Options) cor
 	}
 }
 
-// Fig7Cell runs one campaign cell (application × fault model) on the
-// engine, so cmd/ffis single-cell invocations get the same COW-snapshot
-// fast path and progress stream as full grids. Read-path models run the
-// cell's producer→consumer pipeline variant: the standard Figure 7 phases
+// CellSpec builds the engine spec of one campaign cell (application ×
+// fault model) on the world the options describe. It is the one place a
+// cell's workload variant is chosen: read-path models run the cell's
+// producer→consumer pipeline variant, because the standard Figure 7 phases
 // of nyx and qmcpack only write (analysis happens during classification),
-// so a read fault would have no dynamic instance to land on.
+// so a read fault would have no dynamic instance to land on. o.Runs and
+// o.Seed are used as given.
+func CellSpec(cell string, model core.Model, o Options) (core.CampaignSpec, error) {
+	return cellSpec(cell, model, o, false)
+}
+
+// cellSpec is CellSpec with the wire form's explicit pipeline request.
+func cellSpec(cell string, model core.Model, o Options, pipeline bool) (core.CampaignSpec, error) {
+	build := newBareWorkload
+	if pipeline || core.IsRead(model) {
+		build = NewPipelineWorkload
+	}
+	w, err := build(cell, o)
+	if err != nil {
+		return core.CampaignSpec{}, err
+	}
+	if newFS := o.worldFS(); newFS != nil {
+		w.NewFS = newFS
+	}
+	return fig7Spec(cell, w, model, o), nil
+}
+
+// Fig7Cell runs one campaign cell (application × fault model) on the
+// engine, so single-cell invocations get the same COW-snapshot fast path
+// and progress stream as full grids.
 func Fig7Cell(cell string, model core.Model, o Options) (core.CampaignResult, error) {
 	o = o.normalize()
-	var w core.Workload
-	var err error
-	if core.IsRead(model) {
-		w, err = NewPipelineWorkload(cell, o)
-		if newFS := o.worldFS(); err == nil && newFS != nil {
-			w.NewFS = newFS
-		}
-	} else {
-		w, err = NewWorkload(cell, o)
-	}
+	spec, err := CellSpec(cell, model, o)
 	if err != nil {
 		return core.CampaignResult{}, err
 	}
-	grid, err := o.runGrid([]core.CampaignSpec{fig7Spec(cell, w, model, o)})
+	grid, err := o.runGrid([]core.CampaignSpec{spec})
 	if err != nil {
 		return core.CampaignResult{}, err
 	}
@@ -384,7 +382,6 @@ func Fig7Sequential(o Options) (string, []classify.Cell, error) {
 				Fault:       core.Config{Model: model, Shots: o.Shots},
 				Runs:        o.Runs,
 				Seed:        o.Seed,
-				Workers:     o.Workers,
 				ArmMounts:   o.ArmMounts,
 				FreshWorlds: true,
 				Stop:        o.Stop,

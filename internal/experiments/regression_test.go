@@ -76,16 +76,16 @@ func TestEnumEquivalenceRegression(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := core.CampaignConfig{
-					Fault:   core.Config{Model: m},
-					Runs:    o.Runs,
-					Seed:    o.Seed,
-					Workers: workers,
+					Fault: core.Config{Model: m},
+					Runs:  o.Runs,
+					Seed:  o.Seed,
 				}
 				if placement == "tiered" {
 					w.NewFS = layout.NewFS
 					cfg.ArmMounts = scratch
 				}
-				res, err := core.Campaign(cfg, w)
+				r := (&core.Engine{Jobs: workers}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})[0]
+				res, err := r.Result, r.Err
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", m.Short(), placement, workers, err)
 				}

@@ -130,22 +130,10 @@ func (ws WireSpec) CampaignSpec() (core.CampaignSpec, error) {
 		}
 		o.Mounts = mounts
 	}
-	var w core.Workload
-	var err error
-	if ws.Pipeline || core.IsRead(model) {
-		w, err = NewPipelineWorkload(ws.Cell, o)
-		if err == nil {
-			if newFS := o.worldFS(); newFS != nil {
-				w.NewFS = newFS
-			}
-		}
-	} else {
-		w, err = NewWorkload(ws.Cell, o)
-	}
+	spec, err := cellSpec(ws.Cell, model, o, ws.Pipeline)
 	if err != nil {
 		return core.CampaignSpec{}, fmt.Errorf("experiments: wire spec %q: %w", ws.Key, err)
 	}
-	spec := fig7Spec(ws.Cell, w, model, o)
 	spec.Key = ws.Key
 	spec.WorldKey = ws.WorldKey
 	return spec, nil

@@ -171,12 +171,12 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := spec.Config
-			cfg.Workers = workers
 			cfg.Sink = sink
 			cfg.DiscardRecords = true
 			cfg.RunFilter = func(idx int) bool { return idx < eqRuns/2 }
-			if _, err := core.Campaign(cfg, spec.Workload); err != nil {
-				t.Fatal(err)
+			solo := (&core.Engine{Jobs: workers}).Run([]core.CampaignSpec{{Workload: spec.Workload, Config: cfg}})[0]
+			if solo.Err != nil {
+				t.Fatal(solo.Err)
 			}
 			if err := sink.Close(); err != nil { // no Finalize: the "kill"
 				t.Fatal(err)

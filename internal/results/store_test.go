@@ -279,10 +279,11 @@ func TestStoredRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := core.Campaign(core.CampaignConfig{
+	solo := (&core.Engine{Jobs: 1}).Run([]core.CampaignSpec{{Workload: eqWorkload(), Config: core.CampaignConfig{
 		Fault: core.Config{Model: core.MustModel("bit-flip")},
-		Runs:  eqRuns, Seed: eqSeed, Workers: 1,
-	}, eqWorkload())
+		Runs:  eqRuns, Seed: eqSeed,
+	}}})[0]
+	mem, err := solo.Result, solo.Err
 	if err != nil {
 		t.Fatal(err)
 	}
