@@ -336,6 +336,26 @@ func BenchmarkCampaignCOWvsFresh(b *testing.B) {
 	}
 }
 
+// BenchmarkTieredBackends times one MT2 placement sweep under each
+// hermetic backend the mount table can host: the whole-object rewrites of
+// the object backend and the simulated clock of the latency backend, set
+// against plain MemFS. DroppedWrite keeps every placement's injection
+// live, so the timing covers real traffic, not no-target short circuits.
+func BenchmarkTieredBackends(b *testing.B) {
+	for _, backend := range []string{"mem", "object", "latency"} {
+		backend := backend
+		b.Run(backend, func(b *testing.B) {
+			o := benchOpts()
+			o.Jobs, o.Backends = 1, []string{backend}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := experiments.Tiered([]string{"MT2"}, core.DroppedWrite, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Substrate microbenchmarks ------------------------------------------------
 
 // BenchmarkMemFSClone measures the COW snapshot primitive itself on a

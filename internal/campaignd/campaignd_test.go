@@ -119,16 +119,39 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 		{ID: "w2", Coordinator: srv.URL, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, Prefetch: true},
 		{ID: "w3", Coordinator: srv.URL, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, Prefetch: true},
 	}
+	// w1 starts alone, and w2 and w3 only once w1 has started a spec: so
+	// w1 always holds a lease when its kill hook fires, instead of finding
+	// the grid already drained by the other two.
+	w1Started := make(chan struct{})
+	var startOnce sync.Once
+	w1Bus := core.NewEventBus()
+	w1Bus.Subscribe(0, func(ev core.Event) {
+		if ev.Kind == core.EventSpecStart {
+			startOnce.Do(func() { close(w1Started) })
+		}
+	})
+	workers[0].Events = w1Bus
+	w1Exited := make(chan struct{})
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for i, w := range workers {
+		if i == 1 {
+			select {
+			case <-w1Started:
+			case <-w1Exited: // w1 failed before any spec; the assertion below reports it
+			}
+		}
 		wg.Add(1)
 		go func(i int, w *Worker) {
 			defer wg.Done()
+			if i == 0 {
+				defer close(w1Exited)
+			}
 			errs[i] = w.Run(context.Background())
 		}(i, w)
 	}
 	wg.Wait()
+	w1Bus.Close()
 
 	if !errors.Is(errs[0], errWorkerKilled) {
 		t.Fatalf("w1 should have died to the kill hook mid-spec, got %v", errs[0])

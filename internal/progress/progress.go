@@ -30,7 +30,7 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 	}
 	bus = core.NewEventBus()
 	if progressTo != nil {
-		bus.Subscribe(0, Renderer(progressTo))
+		bus.Subscribe(0, renderer(progressTo))
 	}
 	var f *os.File
 	var traceSub *core.Subscription
@@ -41,7 +41,7 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 			return nil, nil, err
 		}
 		var sub func(core.Event)
-		sub, traceErr = WriteTrace(f)
+		sub, traceErr = writeTrace(f)
 		traceSub = bus.Subscribe(4096, sub)
 	}
 	finish = func() error {
@@ -61,13 +61,13 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 	return bus, finish, nil
 }
 
-// Renderer returns the shared per-campaign progress renderer: roughly
+// renderer returns the shared per-campaign progress renderer: roughly
 // every tenth of a campaign's runs, an adaptive stop line when a rule
 // fires, plus a terminal line carrying the outcome tally — or the error,
 // with the starved-placement ErrNoTargets spelled out the way the tiered
 // table renders it. Subscribe it on an EventBus; the bus serializes
 // delivery, so w needs no locking of its own.
-func Renderer(w io.Writer) func(core.Event) {
+func renderer(w io.Writer) func(core.Event) {
 	return func(ev core.Event) {
 		switch ev.Kind {
 		case core.EventRunDone:
@@ -123,7 +123,7 @@ type traceLine struct {
 	Error string         `json:"error,omitempty"`
 }
 
-// WriteTrace returns a subscriber that streams every event as one JSON
+// writeTrace returns a subscriber that streams every event as one JSON
 // line to w. Give it a generous bus buffer: under pressure the bus drops
 // RunDone lines (counted on the Subscription) rather than stalling runs,
 // so a trace is a faithful sample, while its lifecycle lines
@@ -131,7 +131,7 @@ type traceLine struct {
 //
 // The first encode error stops the stream — later lines would only leave
 // a gap mid-trace — and err reports it. Read err after the bus is closed.
-func WriteTrace(w io.Writer) (sub func(core.Event), err func() error) {
+func writeTrace(w io.Writer) (sub func(core.Event), err func() error) {
 	enc := json.NewEncoder(w)
 	var encErr error
 	sub = func(ev core.Event) {

@@ -46,14 +46,14 @@ func TestRendererPrintsAboutTenLinesPerCampaign(t *testing.T) {
 		{1, 0},
 	} {
 		var out bytes.Buffer
-		runCampaign(Renderer(&out), "c", tc.total)
+		runCampaign(renderer(&out), "c", tc.total)
 		got := strings.Count(out.String(), "\n")
 		if got != tc.lines {
 			t.Errorf("total %d: %d progress lines, want %d:\n%s", tc.total, got, tc.lines, out.String())
 		}
 	}
 	var out bytes.Buffer
-	runCampaign(Renderer(&out), "nyx/BF", 100)
+	runCampaign(renderer(&out), "nyx/BF", 100)
 	if first := strings.SplitN(out.String(), "\n", 2)[0]; first != "[nyx/BF] 10/100" {
 		t.Fatalf("first progress line = %q", first)
 	}
@@ -64,7 +64,7 @@ func TestRendererStopDoneAndErrorLines(t *testing.T) {
 	tally.Add(classify.Benign)
 	tally.Add(classify.SDC)
 	var out bytes.Buffer
-	r := Renderer(&out)
+	r := renderer(&out)
 	r(core.Event{Kind: core.EventBarrier, Key: "a", Barrier: 50, Done: 50})
 	r(core.Event{Kind: core.EventStopDecision, Key: "a", StopIndex: 50, Stopped: false})
 	r(core.Event{Kind: core.EventStopDecision, Key: "a", StopIndex: 100, Stopped: true})
@@ -111,7 +111,7 @@ func TestWriteTraceFieldsPerKind(t *testing.T) {
 		{failed, "done error event key total"},
 	}
 	var buf bytes.Buffer
-	sub, encErr := WriteTrace(&buf)
+	sub, encErr := writeTrace(&buf)
 	for _, tc := range cases {
 		sub(tc.ev)
 	}
