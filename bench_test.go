@@ -21,6 +21,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
+	"ffis/internal/fits"
 	"ffis/internal/hdf5"
 	"ffis/internal/metainject"
 	"ffis/internal/stats"
@@ -440,6 +441,47 @@ func BenchmarkMemFSWrite4K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.WriteAt(buf, int64(i%1024)*4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMemFSAppend2880 writes a fresh 64-record file in 2,880-byte
+// sequential appends, the FITS write pattern: the tail block's geometric
+// capacity growth keeps re-copies logarithmic in the records per block.
+func BenchmarkMemFSAppend2880(b *testing.B) {
+	const records = 64
+	rec := make([]byte, fits.BlockSize)
+	b.SetBytes(records * fits.BlockSize)
+	b.ReportAllocs()
+	for b.Loop() {
+		f, err := vfs.NewMemFS().Create("/t.fits")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range records {
+			if _, err := f.Write(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFITSEncodeDecode round-trips a 256x256 image through the FITS
+// codec.
+func BenchmarkFITSEncodeDecode(b *testing.B) {
+	im := fits.New(256, 256)
+	im.CRVAL1, im.CRVAL2 = 10.25, -3.5
+	for i := range im.Data {
+		im.Data[i] = float64(i) * 0.001
+	}
+	b.SetBytes(int64(len(im.Data) * 8))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := fits.Decode(im.Encode()); err != nil {
 			b.Fatal(err)
 		}
 	}

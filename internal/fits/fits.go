@@ -7,6 +7,7 @@
 package fits
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -64,47 +65,49 @@ func (im *Image) Bilinear(x, y float64) (float64, bool) {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
 }
 
-func card(key string, value string) []byte {
-	c := fmt.Sprintf("%-8s= %20s", key, value)
-	for len(c) < cardLen {
-		c += " "
-	}
-	return []byte(c[:cardLen])
+// putCard writes one "KEY     =            VALUE" header card into c, which
+// is cardLen bytes already filled with spaces: the key left-justified in
+// eight columns, the value right-justified in twenty, anything past the
+// card's 80 columns cut off.
+func putCard(c []byte, key, value string) {
+	copy(c, key)
+	c[8], c[9] = '=', ' '
+	copy(c[10+max(20-len(value), 0):], value)
 }
 
-func endCard() []byte {
-	c := "END"
-	for len(c) < cardLen {
-		c += " "
-	}
-	return []byte(c)
-}
-
-// Encode renders the image as a complete FITS byte stream.
+// Encode renders the image as a complete FITS byte stream: the
+// space-padded header records, then the big-endian pixels zero-padded to a
+// whole record, built in one buffer.
 func (im *Image) Encode() []byte {
-	var hdr []byte
-	hdr = append(hdr, card("SIMPLE", "T")...)
-	hdr = append(hdr, card("BITPIX", "-64")...)
-	hdr = append(hdr, card("NAXIS", "2")...)
-	hdr = append(hdr, card("NAXIS1", strconv.Itoa(im.Width))...)
-	hdr = append(hdr, card("NAXIS2", strconv.Itoa(im.Height))...)
-	hdr = append(hdr, card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64))...)
-	hdr = append(hdr, card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64))...)
-	hdr = append(hdr, endCard()...)
-	for len(hdr)%BlockSize != 0 {
-		hdr = append(hdr, ' ')
+	cards := [...]struct{ key, value string }{
+		{"SIMPLE", "T"},
+		{"BITPIX", "-64"},
+		{"NAXIS", "2"},
+		{"NAXIS1", strconv.Itoa(im.Width)},
+		{"NAXIS2", strconv.Itoa(im.Height)},
+		{"CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)},
+		{"CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)},
 	}
-	data := make([]byte, ((im.Width*im.Height*8)+BlockSize-1)/BlockSize*BlockSize)
+	hdrLen := records((len(cards) + 1) * cardLen) // + END card
+	out := make([]byte, hdrLen+records(im.Width*im.Height*8))
+	hdr := out[:hdrLen]
+	for i := range hdr {
+		hdr[i] = ' '
+	}
+	for i, c := range cards {
+		putCard(hdr[i*cardLen:(i+1)*cardLen], c.key, c.value)
+	}
+	copy(hdr[len(cards)*cardLen:], "END")
+	// FITS is big-endian.
+	data := out[hdrLen:]
 	for i, v := range im.Data {
-		bits := math.Float64bits(v)
-		base := i * 8
-		// FITS is big-endian.
-		for b := 0; b < 8; b++ {
-			data[base+b] = byte(bits >> (8 * uint(7-b)))
-		}
+		binary.BigEndian.PutUint64(data[i*8:], math.Float64bits(v))
 	}
-	return append(hdr, data...)
+	return out
 }
+
+// records rounds n bytes up to a whole number of FITS records.
+func records(n int) int { return (n + BlockSize - 1) / BlockSize * BlockSize }
 
 // FormatError reports a malformed FITS stream (the Montage crash class).
 type FormatError struct{ Msg string }
@@ -172,14 +175,9 @@ func Decode(raw []byte) (*Image, error) {
 		return nil, &FormatError{Msg: fmt.Sprintf("data truncated: need %d bytes, have %d", need, len(raw))}
 	}
 	im := &Image{Width: w, Height: h, CRVAL1: crval1, CRVAL2: crval2, Data: make([]float64, w*h)}
-	base := blocks * BlockSize
+	pix := raw[blocks*BlockSize : need]
 	for i := range im.Data {
-		var bits uint64
-		off := base + i*8
-		for b := 0; b < 8; b++ {
-			bits = bits<<8 | uint64(raw[off+b])
-		}
-		im.Data[i] = math.Float64frombits(bits)
+		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(pix[i*8:]))
 	}
 	return im, nil
 }

@@ -325,8 +325,8 @@ func (n *memNode) write(p []byte, off int64) {
 // ownBlock returns block bi's bytes, private to this node and materialized
 // to the block's full valid length: zero extents are allocated, sealed
 // (clone-shared) blocks are copied, and an owned block whose materialized
-// prefix is shorter than the file now requires is extended with zeros.
-// Caller holds n.mu for writing.
+// prefix is shorter than the file now requires is extended with zeros,
+// its capacity growing geometrically. Caller holds n.mu for writing.
 func (n *memNode) ownBlock(bi int) []byte {
 	bl := n.blockLen(bi)
 	b := n.blocks[bi]
@@ -347,7 +347,11 @@ func (n *memNode) ownBlock(bi int) []byte {
 			b.data = b.data[:bl]
 			clear(b.data[old:])
 		} else {
-			data := make([]byte, bl)
+			// Grow capacity geometrically (capped at BlockSize), so a block
+			// filled by small appends is re-copied O(log) times, not once
+			// per append. The spare capacity is private to this block: a
+			// Clone seals it, and sealed blocks are copied, never resliced.
+			data := make([]byte, bl, min(max(bl, 2*cap(b.data)), BlockSize))
 			copy(data, b.data)
 			b.data = data
 		}

@@ -157,11 +157,13 @@ func (r *refFile) truncate(size int64) {
 }
 
 // TestMemFSExtentModel drives the block-table storage through a long
-// deterministic random sequence of writes, truncates, and clones, checking
-// full content equality against a flat-slice reference model after every
-// step. Offsets and lengths are drawn around the BlockSize boundaries so
-// partial blocks, spanning writes, sparse holes, and shrink-then-grow
-// sequences (where stale block bytes must read back as zeros) all occur.
+// deterministic random sequence of writes, appends at EOF, truncates, and
+// clones, checking full content equality against a flat-slice reference
+// model after every step. Offsets and lengths are drawn around the
+// BlockSize boundaries so partial blocks, spanning writes, sparse holes,
+// and shrink-then-grow sequences (where stale block bytes must read back
+// as zeros) all occur; the short appends leave tail blocks with spare
+// capacity that later clones, truncates and appends interleave with.
 func TestMemFSExtentModel(t *testing.T) {
 	rng := stats.NewRNG(7)
 	fs := NewMemFS()
@@ -182,9 +184,21 @@ func TestMemFSExtentModel(t *testing.T) {
 		}
 	}
 
+	write := func(buf []byte, off int64) {
+		f, err := fs.Append("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		ref.writeAt(buf, off)
+	}
+
 	maxOff := int64(3*BlockSize + BlockSize/2)
 	for step := 0; step < 400; step++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1, 2, 3, 4, 5: // write
 			off := int64(rng.Intn(int(maxOff)))
 			n := rng.Intn(BlockSize + 17)
@@ -192,15 +206,7 @@ func TestMemFSExtentModel(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte(step + i)
 			}
-			f, err := fs.Append("/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt(buf, off); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			ref.writeAt(buf, off)
+			write(buf, off)
 		case 6, 7: // truncate (both directions)
 			size := int64(rng.Intn(int(maxOff)))
 			if err := fs.Truncate("/f", size); err != nil {
@@ -231,6 +237,13 @@ func TestMemFSExtentModel(t *testing.T) {
 			clones = clones[:len(clones)-1]
 			cloneWant[i] = cloneWant[len(cloneWant)-1]
 			cloneWant = cloneWant[:len(cloneWant)-1]
+		case 10, 11: // short append at EOF, as FITS record writes do
+			off := int64(len(ref.data))
+			buf := make([]byte, rng.Intn(2*2880)+1)
+			for i := range buf {
+				buf[i] = byte(3*step + i)
+			}
+			write(buf, off)
 		}
 		check(step, fs, ref.data, "original")
 		sz, err := fs.Stat("/f")
