@@ -44,10 +44,10 @@ func main() {
 	}
 
 	// ... but the injector is armed on the scratch tier only: the view
-	// `armed` shares storage with `world`, differing only in the wrapper.
+	// `armed` shares storage with `world`, differing only in the hook.
 	sig := core.Config{Model: core.MustModel("bit-flip")}.Signature()
 	inj := core.NewInjector(sig, 0, stats.NewRNG(2021))
-	armed, err := world.WithInterposed("/scratch", inj.Wrap)
+	armed, err := world.WithInterposed("/scratch", inj)
 	if err != nil {
 		log.Fatal(err)
 	}

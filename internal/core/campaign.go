@@ -276,7 +276,7 @@ func ProfileMounts(w Workload, sig Signature, mounts []string) (int64, error) {
 // index space.
 func profileWorld(base vfs.FS, w Workload, sig Signature, mounts []string) (int64, error) {
 	inj := Disarmed(sig)
-	armed, err := interposeMounts(base, mounts, inj.Wrap)
+	armed, err := interposeMounts(base, mounts, inj)
 	if err != nil {
 		return 0, err
 	}
@@ -286,15 +286,15 @@ func profileWorld(base vfs.FS, w Workload, sig Signature, mounts []string) (int6
 	return inj.Count(), nil
 }
 
-// interposeMounts wraps the armed scope of the world with wrap: the whole
+// interposeMounts interposes h on the armed scope of the world: the whole
 // file system when mounts is empty, or each named mount of a *vfs.MountFS
 // world otherwise. In the mount case the returned FS is a shallow copy of
 // the table sharing the same backends, so the caller's base remains a clean
 // routing view onto the very same storage — setup and classification read
 // and write the real state without passing through the interposition.
-func interposeMounts(base vfs.FS, mounts []string, wrap func(vfs.FS) vfs.FS) (vfs.FS, error) {
+func interposeMounts(base vfs.FS, mounts []string, h vfs.Hook) (vfs.FS, error) {
 	if len(mounts) == 0 {
-		return wrap(base), nil
+		return vfs.Interpose(base, h), nil
 	}
 	mt, ok := base.(*vfs.MountFS)
 	if !ok {
@@ -303,7 +303,7 @@ func interposeMounts(base vfs.FS, mounts []string, wrap func(vfs.FS) vfs.FS) (vf
 	armed := mt
 	for _, dir := range mounts {
 		var err error
-		armed, err = armed.WithInterposed(dir, wrap)
+		armed, err = armed.WithInterposed(dir, h)
 		if err != nil {
 			return nil, fmt.Errorf("core: arm mount %s: %w", dir, err)
 		}

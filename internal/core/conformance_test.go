@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -533,6 +534,50 @@ func TestConformanceAllocFreePassThrough(t *testing.T) {
 		w.Close()
 		r.Close()
 	}
+
+	// Sequential data ops and handle-level truncate take the same miss
+	// path, armed on every hostable primitive so the claim counter of each
+	// one is exercised.
+	for _, m := range AllModels() {
+		for _, prim := range m.Hosts() {
+			inj := NewInjector(Signature{Model: m, Primitive: prim}, 1<<40, stats.NewRNG(1))
+			w, r := openHandles(inj.Wrap(vfs.NewMemFS()))
+			name := m.Name() + "/" + string(prim) + "/armed "
+			assertZero(name+"Write", func() {
+				if _, err := w.Seek(0, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			assertZero(name+"Read", func() {
+				if _, err := r.Seek(0, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Read(rd); err != nil {
+					t.Fatal(err)
+				}
+			})
+			assertZero(name+"Truncate", func() {
+				if err := w.Truncate(int64(len(buf))); err != nil {
+					t.Fatal(err)
+				}
+			})
+			w.Close()
+			r.Close()
+		}
+	}
+
+	// The latency model bills through the same hook.
+	w, r := openHandles(vfs.NewLatencyFS(vfs.NewMemFS(), vfs.ParallelFSModel))
+	assertZero("LatencyFS WriteAt", func() {
+		if _, err := w.WriteAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	w.Close()
+	r.Close()
 }
 
 // claimSpaceDirs are the directories claimSpaceWorkload exercises: two

@@ -10,8 +10,9 @@ import (
 	"ffis/internal/vfs"
 )
 
-// Injector holds the armed fault state shared by every handle of an
-// InjectorFS. It counts dynamic executions of the signature's primitive and
+// Injector is the vfs.Hook of the FFIS fault injector: it holds the armed
+// fault state shared by every handle of the file system it is interposed
+// on. It counts dynamic executions of the signature's primitive and
 // corrupts the target-th instance (0-based), as the paper's fault injector
 // does: "for each fault injection run, it first generates a random number
 // from 0 to count-1 ... when the execution count of the target primitive
@@ -215,145 +216,68 @@ func (e Env) Shot() int {
 }
 
 // Wrap returns a file system that behaves exactly like inner except for the
-// single corrupted primitive instance.
-func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
-	return &InjectorFS{inner: inner, inj: inj}
-}
+// corrupted primitive instances: the FFIS interposition layer of Figure 2,
+// with the injector as its hook.
+func (inj *Injector) Wrap(inner vfs.FS) vfs.FS { return vfs.Interpose(inner, inj) }
 
-// InjectorFS is the FFIS interposition layer (Figure 2): a drop-in vfs.FS
-// whose primitives consult the injector before delegating.
-type InjectorFS struct {
-	inner vfs.FS
-	inj   *Injector
-}
+// After implements vfs.Hook: namespace operations host no fault.
+func (inj *Injector) After(vfs.Op, error) {}
 
-func (f *InjectorFS) wrapFile(file vfs.File, err error) (vfs.File, error) {
-	if err != nil {
-		return nil, err
+// Around implements vfs.Hook. An instance of the armed primitive claims
+// against the shot budget; a claimed instance is handed to the model's
+// hook and completed the way its action dictates. Zero-length reads and
+// writes pass through without claiming: an empty write mutates nothing, so
+// burning the injector's single shot on it would tally a run as injected
+// when no fault ever reached the device.
+func (inj *Injector) Around(op vfs.Op) (int, error) {
+	if op.Prim != inj.sig.Primitive ||
+		(len(op.Buf) == 0 && (op.Prim == vfs.PrimWrite || op.Prim == vfs.PrimRead)) ||
+		!inj.claim() {
+		return op.Do()
 	}
-	// fs is the uninstrumented view at the same path-translation layer:
-	// models that need a side handle onto the file being read or written
-	// (latent corruption's at-rest mutation) open it here without
-	// re-entering the injector.
-	return &injectorFile{File: file, inj: f.inj, fs: f.inner}, nil
-}
-
-// Create delegates and wraps the returned handle.
-func (f *InjectorFS) Create(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Create(name))
-}
-
-// Open delegates and wraps the returned handle.
-func (f *InjectorFS) Open(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Open(name))
-}
-
-// Append delegates and wraps the returned handle.
-func (f *InjectorFS) Append(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Append(name))
-}
-
-// Mkdir delegates unchanged.
-func (f *InjectorFS) Mkdir(name string) error { return f.inner.Mkdir(name) }
-
-// MkdirAll delegates unchanged.
-func (f *InjectorFS) MkdirAll(name string) error { return f.inner.MkdirAll(name) }
-
-// Remove delegates unchanged.
-func (f *InjectorFS) Remove(name string) error { return f.inner.Remove(name) }
-
-// RemoveAll delegates unchanged.
-func (f *InjectorFS) RemoveAll(name string) error { return f.inner.RemoveAll(name) }
-
-// Rename delegates unchanged.
-func (f *InjectorFS) Rename(oldName, newName string) error {
-	return f.inner.Rename(oldName, newName)
-}
-
-// Stat delegates unchanged.
-func (f *InjectorFS) Stat(name string) (vfs.FileInfo, error) { return f.inner.Stat(name) }
-
-// ReadDir delegates unchanged.
-func (f *InjectorFS) ReadDir(name string) ([]vfs.FileInfo, error) {
-	return f.inner.ReadDir(name)
-}
-
-// Mknod hosts faults when the signature targets the mknod primitive
-// (Table I lists FFIS_mknod as a host): the mode/dev arguments are treated
-// as the write buffer and handed to the model's metadata hook.
-func (f *InjectorFS) Mknod(name string, mode uint32, dev uint64) error {
-	if f.inj.sig.Primitive == vfs.PrimMknod && f.inj.claim() {
-		act := f.inj.sig.Model.MutateMeta(f.inj.env(),
-			MetaOp{Primitive: vfs.PrimMknod, Path: name, Mode: mode, Dev: dev})
+	switch op.Prim {
+	case vfs.PrimWrite:
+		return inj.write(op)
+	case vfs.PrimRead:
+		return inj.read(op)
+	case vfs.PrimTruncate:
+		// A handle-level and a path-level truncate are instances of one
+		// primitive and host the same faults.
+		act := inj.sig.Model.MutateTruncate(inj.env(), TruncateOp{Path: op.Path, Size: op.Size})
 		if act.Drop {
-			return nil // node silently never created
+			return 0, nil // acknowledged, never applied
 		}
-		mode, dev = act.Mode, act.Dev
-	}
-	return f.inner.Mknod(name, mode, dev)
-}
-
-// Chmod hosts faults when the signature targets the chmod primitive.
-func (f *InjectorFS) Chmod(name string, mode uint32) error {
-	if f.inj.sig.Primitive == vfs.PrimChmod && f.inj.claim() {
-		act := f.inj.sig.Model.MutateMeta(f.inj.env(),
-			MetaOp{Primitive: vfs.PrimChmod, Path: name, Mode: mode})
+		op.Size = act.Size
+	default:
+		// Mknod and chmod (Table I lists FFIS_mknod as a host): the
+		// mode/dev arguments are treated as the write buffer.
+		act := inj.sig.Model.MutateMeta(inj.env(),
+			MetaOp{Primitive: op.Prim, Path: op.Path, Mode: op.Mode, Dev: op.Dev})
 		if act.Drop {
-			return nil
+			return 0, nil // node or mode change silently never applied
 		}
-		mode = act.Mode
+		op.Mode, op.Dev = act.Mode, act.Dev
 	}
-	return f.inner.Chmod(name, mode)
+	return op.Do()
 }
 
-// Truncate hosts faults when the signature targets the truncate primitive.
-func (f *InjectorFS) Truncate(name string, size int64) error {
-	size, drop := f.inj.interceptTruncate(name, size)
-	if drop {
-		return nil
+// write serves a claimed write. This is the Go rendering of Figure 3a: the
+// (buffer, size, offset) triple passed to FFIS_write is handed to the
+// model's hook before reaching the device.
+func (inj *Injector) write(op vfs.Op) (int, error) {
+	off := op.Off
+	if op.Seq {
+		var err error
+		if off, err = op.File.Seek(0, io.SeekCurrent); err != nil {
+			// Without the real offset a block- or sector-aligned corruption
+			// plan would be computed against a fabricated device position;
+			// fail the write rather than corrupt the wrong bytes.
+			return 0, fmt.Errorf("core: injector: device offset unknown for armed write: %w", err)
+		}
 	}
-	return f.inner.Truncate(name, size)
-}
-
-// interceptTruncate claims a truncate-hosted fault and asks the model for
-// the corrupted size; drop reports that the truncate must be suppressed
-// entirely (while still acknowledged).
-func (inj *Injector) interceptTruncate(name string, size int64) (newSize int64, drop bool) {
-	if inj.sig.Primitive != vfs.PrimTruncate || !inj.claim() {
-		return size, false
-	}
-	act := inj.sig.Model.MutateTruncate(inj.env(), TruncateOp{Path: name, Size: size})
-	return act.Size, act.Drop
-}
-
-// injectorFile interposes on the data path of a single handle. This is the
-// Go rendering of Figure 3a: the (buffer, size, offset) triple passed to
-// FFIS_write (or returned by FFIS_read) is handed to the armed model's hook
-// before reaching the other side. fs is the uninstrumented view of the same
-// storage, exposed to read hooks for at-rest mutation.
-type injectorFile struct {
-	vfs.File
-	inj *Injector
-	fs  vfs.FS
-}
-
-// Write intercepts the sequential write primitive. Zero-length buffers pass
-// through without claiming: an empty write mutates nothing, so burning the
-// injector's single shot on it would tally a run as injected when no fault
-// ever reached the device.
-func (f *injectorFile) Write(p []byte) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
-		return f.File.Write(p)
-	}
-	off, err := f.File.Seek(0, io.SeekCurrent)
-	if err != nil {
-		// Without the real offset a block- or sector-aligned corruption
-		// plan would be computed against a fabricated device position;
-		// fail the write rather than corrupt the wrong bytes.
-		return 0, fmt.Errorf("core: injector: device offset unknown for armed write: %w", err)
-	}
-	act := f.inj.sig.Model.MutateWrite(f.inj.env(),
-		WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
+	n := len(op.Buf)
+	act := inj.sig.Model.MutateWrite(inj.env(),
+		WriteOp{File: op.File, Path: op.Path, Buf: op.Buf, Off: off})
 	if act.Err != nil {
 		// The device refused the write: nothing persisted, nothing
 		// acknowledged, the sequential offset stays put.
@@ -361,86 +285,44 @@ func (f *injectorFile) Write(p []byte) (int, error) {
 	}
 	if act.Skip {
 		// The device dropped (or misdirected) the write but acknowledged
-		// it: place the sequential offset at the absolute post-write
+		// it. A sequential handle's offset goes to the absolute post-write
 		// position so subsequent writes land where the application
 		// believes they will. The seek must be absolute — the model hook
-		// holds the live handle and may have moved it (a misdirected
-		// write persisting the buffer elsewhere), so a relative
-		// Seek(len(p), io.SeekCurrent) would advance from wherever the
-		// hook parked the handle instead of from the intercepted offset.
-		if _, err := f.File.Seek(off+int64(len(p)), io.SeekStart); err != nil {
-			return 0, err
+		// holds the live handle and may have moved it (a misdirected write
+		// persisting the buffer elsewhere), so a relative seek would
+		// advance from wherever the hook parked the handle instead of from
+		// the intercepted offset.
+		if op.Seq {
+			if _, err := op.File.Seek(off+int64(n), io.SeekStart); err != nil {
+				return 0, err
+			}
 		}
-		return len(p), nil
+		return n, nil
 	}
-	n, err := f.File.Write(act.Buf)
-	if n > len(p) {
-		n = len(p)
-	}
-	return n, err
+	op.Buf = act.Buf
+	m, err := op.Do()
+	return min(m, n), err
 }
 
-// WriteAt intercepts the positional write primitive (pwrite).
-func (f *injectorFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
-		return f.File.WriteAt(p, off)
+// read serves a claimed read: the mirror of FFIS_write for faults that
+// surface when data is consumed. The model's hook owns the whole read;
+// op.FS is the uninstrumented view at the same path-translation layer, on
+// which at-rest corruption opens its side handle.
+func (inj *Injector) read(op vfs.Op) (int, error) {
+	rop := ReadOp{
+		File: op.File, FS: op.FS, Path: op.Path, Buf: op.Buf, Off: op.Off,
+		Do: func(q []byte) (int, error) {
+			o := op
+			o.Buf = q
+			return o.Do()
+		},
 	}
-	act := f.inj.sig.Model.MutateWrite(f.inj.env(),
-		WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
-	if act.Err != nil {
-		return 0, act.Err
+	if op.Seq {
+		if rop.Off, rop.OffErr = op.File.Seek(0, io.SeekCurrent); rop.OffErr != nil {
+			rop.Off = -1
+		}
 	}
-	if act.Skip {
-		return len(p), nil
-	}
-	n, err := f.File.WriteAt(act.Buf, off)
-	if n > len(p) {
-		n = len(p)
-	}
-	return n, err
+	return inj.sig.Model.MutateRead(inj.env(), rop)
 }
 
-// Read intercepts the sequential read primitive: the mirror of FFIS_write
-// for faults that surface when data is consumed. Zero-length buffers pass
-// through without claiming, like the write path.
-func (f *injectorFile) Read(p []byte) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
-		return f.File.Read(p)
-	}
-	off, offErr := f.File.Seek(0, io.SeekCurrent)
-	if offErr != nil {
-		off = -1
-	}
-	return f.inj.sig.Model.MutateRead(f.inj.env(), ReadOp{
-		File: f.File, FS: f.fs, Path: f.File.Name(),
-		Buf: p, Off: off, OffErr: offErr,
-		Do: func(q []byte) (int, error) { return f.File.Read(q) },
-	})
-}
-
-// ReadAt intercepts the positional read primitive (pread).
-func (f *injectorFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
-		return f.File.ReadAt(p, off)
-	}
-	return f.inj.sig.Model.MutateRead(f.inj.env(), ReadOp{
-		File: f.File, FS: f.fs, Path: f.File.Name(),
-		Buf: p, Off: off,
-		Do: func(q []byte) (int, error) { return f.File.ReadAt(q, off) },
-	})
-}
-
-// Truncate intercepts the handle-level truncate primitive, hosting the same
-// faults as the FS-level call: both are instances of one primitive.
-func (f *injectorFile) Truncate(size int64) error {
-	size, drop := f.inj.interceptTruncate(f.File.Name(), size)
-	if drop {
-		return nil
-	}
-	return f.File.Truncate(size)
-}
-
-var (
-	_ vfs.FS   = (*InjectorFS)(nil)
-	_ vfs.File = (*injectorFile)(nil)
-)
+var _ vfs.Hook = (*Injector)(nil)

@@ -11,7 +11,8 @@
 //     disarmed injector and reports its claim count for the target
 //     primitive, so the profiled target space and the injector's claim
 //     space agree by construction.
-//   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
+//   - Fault injector — NewInjector() builds the vfs.Hook that Wrap
+//     interposes on the file system to corrupt the randomly chosen
 //     instance; Campaign() loops runs and classifies outcomes.
 //
 // Fault models are an open vocabulary, as device studies keep surfacing new

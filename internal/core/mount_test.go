@@ -185,7 +185,7 @@ func TestDisarmedInjectorOnMountR1(t *testing.T) {
 		t.Fatalf("world: %v", err)
 	}
 	armed, err := world.(*vfs.MountFS).WithInterposed("/scratch",
-		Disarmed(Config{Model: BitFlip}.Signature()).Wrap)
+		Disarmed(Config{Model: BitFlip}.Signature()))
 	if err != nil {
 		t.Fatalf("interpose: %v", err)
 	}

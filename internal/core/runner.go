@@ -307,7 +307,7 @@ func RunOnceMounts(w Workload, sig Signature, target int64, rng *stats.RNG, moun
 // stage costs the event stream reports.
 func runOnceTimed(base vfs.FS, w Workload, sig Signature, target int64, rng *stats.RNG, mounts []string, st *stageTimes) (RunRecord, error) {
 	inj := NewInjector(sig, target, rng)
-	armed, err := interposeMounts(base, mounts, inj.Wrap)
+	armed, err := interposeMounts(base, mounts, inj)
 	if err != nil {
 		return RunRecord{}, err
 	}

@@ -1,16 +1,14 @@
 // Package trace implements the I/O pattern profiler of the FFIS stack
 // (Figure 2 of the paper names "I/O pattern profiler" as one of the three
-// FFIS components): a vfs wrapper that records every file-system operation
-// an application performs, plus analyses over the recorded pattern — write
-// size distributions, per-file access statistics, and the primitive counts
-// the fault injector needs to aim campaigns.
-//
-// Traces also support replay: a recorded write pattern can be re-executed
-// against any vfs.FS, which the test suite uses to cross-validate backends.
+// FFIS components): a vfs hook that records every file-system operation
+// an application performs, on the same interposition point the fault
+// injector uses, plus analyses over the recorded pattern — write size
+// distributions, per-file access statistics and per-primitive counts.
 package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -35,28 +33,26 @@ func (o Op) String() string {
 }
 
 // Recorder wraps an FS and appends every operation to an in-memory log.
+// It is the vfs.Hook of its own interposed view of the inner FS.
 type Recorder struct {
-	inner vfs.FS
+	vfs.FS
 
 	mu  sync.Mutex
 	log []Op
 }
 
 // NewRecorder wraps inner with operation recording.
-func NewRecorder(inner vfs.FS) *Recorder { return &Recorder{inner: inner} }
+func NewRecorder(inner vfs.FS) *Recorder {
+	r := &Recorder{}
+	r.FS = vfs.Interpose(inner, r)
+	return r
+}
 
 // Log returns a copy of the recorded operations in sequence order.
 func (r *Recorder) Log() []Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Op(nil), r.log...)
-}
-
-// Reset clears the log.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.log = nil
 }
 
 func (r *Recorder) record(p vfs.Primitive, path string, off int64, size int, err error) {
@@ -72,143 +68,46 @@ func (r *Recorder) record(p vfs.Primitive, path string, off int64, size int, err
 	})
 }
 
-// Create delegates and records.
-func (r *Recorder) Create(name string) (vfs.File, error) {
-	f, err := r.inner.Create(name)
-	r.record(vfs.PrimCreate, vfs.Clean(name), -1, 0, err)
-	if err != nil {
-		return nil, err
+// Around implements vfs.Hook: it runs the primitive and records it. A
+// write records its offset and requested size, a read the bytes it
+// delivered (offset -1 for a sequential read), and a truncate its
+// requested size as the offset.
+func (r *Recorder) Around(op vfs.Op) (int, error) {
+	off, size := int64(-1), 0
+	switch op.Prim {
+	case vfs.PrimWrite:
+		off, size = op.Off, len(op.Buf)
+		if op.Seq {
+			var err error
+			if off, err = op.File.Seek(0, io.SeekCurrent); err != nil {
+				off = -1
+			}
+		}
+	case vfs.PrimRead:
+		if !op.Seq {
+			off = op.Off
+		}
+	case vfs.PrimTruncate:
+		off = op.Size
 	}
-	return &recFile{File: f, r: r}, nil
-}
-
-// Open delegates and records.
-func (r *Recorder) Open(name string) (vfs.File, error) {
-	f, err := r.inner.Open(name)
-	r.record(vfs.PrimOpen, vfs.Clean(name), -1, 0, err)
-	if err != nil {
-		return nil, err
+	n, err := op.Do()
+	if op.Prim == vfs.PrimRead {
+		size = n
 	}
-	return &recFile{File: f, r: r}, nil
-}
-
-// Append delegates and records.
-func (r *Recorder) Append(name string) (vfs.File, error) {
-	f, err := r.inner.Append(name)
-	r.record(vfs.PrimOpen, vfs.Clean(name), -1, 0, err)
-	if err != nil {
-		return nil, err
-	}
-	return &recFile{File: f, r: r}, nil
-}
-
-// Mkdir delegates and records.
-func (r *Recorder) Mkdir(name string) error {
-	err := r.inner.Mkdir(name)
-	r.record(vfs.PrimMkdir, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// MkdirAll delegates and records.
-func (r *Recorder) MkdirAll(name string) error {
-	err := r.inner.MkdirAll(name)
-	r.record(vfs.PrimMkdir, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// Remove delegates and records.
-func (r *Recorder) Remove(name string) error {
-	err := r.inner.Remove(name)
-	r.record(vfs.PrimRemove, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// RemoveAll delegates and records.
-func (r *Recorder) RemoveAll(name string) error {
-	err := r.inner.RemoveAll(name)
-	r.record(vfs.PrimRemove, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// Rename delegates and records.
-func (r *Recorder) Rename(oldName, newName string) error {
-	err := r.inner.Rename(oldName, newName)
-	r.record(vfs.PrimRename, vfs.Clean(oldName)+" -> "+vfs.Clean(newName), -1, 0, err)
-	return err
-}
-
-// Stat delegates and records.
-func (r *Recorder) Stat(name string) (vfs.FileInfo, error) {
-	info, err := r.inner.Stat(name)
-	r.record(vfs.PrimStat, vfs.Clean(name), -1, 0, err)
-	return info, err
-}
-
-// ReadDir delegates and records.
-func (r *Recorder) ReadDir(name string) ([]vfs.FileInfo, error) {
-	infos, err := r.inner.ReadDir(name)
-	r.record(vfs.PrimReadDir, vfs.Clean(name), -1, 0, err)
-	return infos, err
-}
-
-// Mknod delegates and records.
-func (r *Recorder) Mknod(name string, mode uint32, dev uint64) error {
-	err := r.inner.Mknod(name, mode, dev)
-	r.record(vfs.PrimMknod, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// Chmod delegates and records.
-func (r *Recorder) Chmod(name string, mode uint32) error {
-	err := r.inner.Chmod(name, mode)
-	r.record(vfs.PrimChmod, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// Truncate delegates and records.
-func (r *Recorder) Truncate(name string, size int64) error {
-	err := r.inner.Truncate(name, size)
-	r.record(vfs.PrimTruncate, vfs.Clean(name), int64(size), 0, err)
-	return err
-}
-
-type recFile struct {
-	vfs.File
-	r *Recorder
-}
-
-func (f *recFile) Write(p []byte) (int, error) {
-	off, seekErr := f.File.Seek(0, 1) // io.SeekCurrent
-	if seekErr != nil {
-		off = -1
-	}
-	n, err := f.File.Write(p)
-	f.r.record(vfs.PrimWrite, f.File.Name(), off, len(p), err)
+	r.record(op.Prim, vfs.Clean(op.Path), off, size, err)
 	return n, err
 }
 
-func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.File.WriteAt(p, off)
-	f.r.record(vfs.PrimWrite, f.File.Name(), off, len(p), err)
-	return n, err
+// After implements vfs.Hook: it records a namespace operation.
+func (r *Recorder) After(op vfs.Op, err error) {
+	path := vfs.Clean(op.Path)
+	if op.Prim == vfs.PrimRename {
+		path += " -> " + vfs.Clean(op.To)
+	}
+	r.record(op.Prim, path, -1, 0, err)
 }
 
-func (f *recFile) Read(p []byte) (int, error) {
-	n, err := f.File.Read(p)
-	f.r.record(vfs.PrimRead, f.File.Name(), -1, n, err)
-	return n, err
-}
-
-func (f *recFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.File.ReadAt(p, off)
-	f.r.record(vfs.PrimRead, f.File.Name(), off, n, err)
-	return n, err
-}
-
-var (
-	_ vfs.FS   = (*Recorder)(nil)
-	_ vfs.File = (*recFile)(nil)
-)
+var _ vfs.Hook = (*Recorder)(nil)
 
 // Profile is the analysed I/O pattern of a trace.
 type Profile struct {
@@ -301,56 +200,4 @@ func (p *Profile) Render() string {
 			fsStats.OverwriteOps, fsStats.Reads, fsStats.ReadBytes)
 	}
 	return b.String()
-}
-
-// ReplayWrites re-executes the write operations of a trace against fs with
-// synthetic payloads (the byte value cycles with the sequence number).
-// Non-write operations needed for structure (mkdir, create) are re-executed
-// too; reads are skipped.
-func ReplayWrites(log []Op, fs vfs.FS) error {
-	handles := map[string]vfs.File{}
-	defer func() {
-		for _, h := range handles {
-			h.Close()
-		}
-	}()
-	for _, op := range log {
-		switch op.Primitive {
-		case vfs.PrimMkdir:
-			if err := fs.MkdirAll(op.Path); err != nil {
-				return err
-			}
-		case vfs.PrimCreate:
-			h, err := fs.Create(op.Path)
-			if err != nil {
-				return err
-			}
-			if old, ok := handles[op.Path]; ok {
-				old.Close()
-			}
-			handles[op.Path] = h
-		case vfs.PrimWrite:
-			h, ok := handles[op.Path]
-			if !ok {
-				var err error
-				h, err = fs.Append(op.Path)
-				if err != nil {
-					return err
-				}
-				handles[op.Path] = h
-			}
-			payload := make([]byte, op.Size)
-			for i := range payload {
-				payload[i] = byte(op.Seq)
-			}
-			if op.Offset >= 0 {
-				if _, err := h.WriteAt(payload, op.Offset); err != nil {
-					return err
-				}
-			} else if _, err := h.Write(payload); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

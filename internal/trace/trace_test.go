@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ffis/internal/apps/nyx"
+	"ffis/internal/core"
 	"ffis/internal/vfs"
 )
 
@@ -48,15 +49,6 @@ func TestRecorderRecordsErrors(t *testing.T) {
 	log := rec.Log()
 	if len(log) != 1 || !log[0].Err {
 		t.Fatalf("error not recorded: %+v", log)
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	rec := NewRecorder(vfs.NewMemFS())
-	rec.MkdirAll("/d")
-	rec.Reset()
-	if len(rec.Log()) != 0 {
-		t.Fatal("reset did not clear log")
 	}
 }
 
@@ -122,39 +114,44 @@ func TestProfileNyxWorkload(t *testing.T) {
 	}
 }
 
-func TestReplayWritesReproducesShape(t *testing.T) {
-	// Record a pattern, replay it onto a fresh FS, and compare file
-	// sizes (payloads differ by design).
-	src := NewRecorder(vfs.NewMemFS())
-	src.MkdirAll("/a")
-	f, _ := src.Create("/a/data")
-	f.Write(make([]byte, 1000))
-	f.WriteAt(make([]byte, 500), 2000)
-	f.Close()
-
-	dst := vfs.NewMemFS()
-	if err := ReplayWrites(src.Log(), dst); err != nil {
+// TestRecorderCountsTruncatesAsProfileDoes pins the recorder's truncate
+// count to the injector's claim space: a handle-level truncate is an
+// instance of the truncate primitive, as the injector counts it, so the
+// trace reports every target a truncate-hosted campaign draws from.
+func TestRecorderCountsTruncatesAsProfileDoes(t *testing.T) {
+	workload := func(fs vfs.FS) error {
+		f, err := fs.Create("/f")
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write([]byte("abcd")); err != nil {
+			return err
+		}
+		if _, err := f.WriteAt([]byte("ef"), 4); err != nil {
+			return err
+		}
+		if err := f.Truncate(2); err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		return fs.Truncate("/f", 1)
+	}
+	rec := NewRecorder(vfs.NewMemFS())
+	if err := workload(rec); err != nil {
 		t.Fatal(err)
 	}
-	info, err := dst.Stat("/a/data")
+	p := Analyze(rec.Log())
+	sig := core.Config{Model: core.BitFlip, Primitive: vfs.PrimTruncate}.Signature()
+	want, err := core.Profile(core.Workload{Run: workload}, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size != 2500 {
-		t.Fatalf("replayed size = %d, want 2500", info.Size)
+	if got := p.ByPrim[vfs.PrimTruncate]; int64(got) != want || want != 2 {
+		t.Fatalf("recorded truncates = %d, profiled = %d; want 2 each", got, want)
 	}
-}
-
-func TestReplayWithoutCreateUsesAppend(t *testing.T) {
-	log := []Op{
-		{Seq: 0, Primitive: vfs.PrimWrite, Path: "/implicit", Offset: -1, Size: 10},
-	}
-	dst := vfs.NewMemFS()
-	if err := ReplayWrites(log, dst); err != nil {
-		t.Fatal(err)
-	}
-	info, err := dst.Stat("/implicit")
-	if err != nil || info.Size != 10 {
-		t.Fatalf("%v %+v", err, info)
+	if got := p.ByPrim[vfs.PrimWrite]; got != 2 {
+		t.Fatalf("recorded writes = %d; want 2", got)
 	}
 }

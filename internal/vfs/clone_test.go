@@ -294,7 +294,7 @@ func TestMountFSCloneRejectsInterposedView(t *testing.T) {
 	if err := m.Mount("/scratch", NewMemFS()); err != nil {
 		t.Fatal(err)
 	}
-	armed, err := m.WithInterposed("/scratch", func(inner FS) FS { return inner })
+	armed, err := m.WithInterposed("/scratch", passThroughHook{})
 	if err != nil {
 		t.Fatal(err)
 	}

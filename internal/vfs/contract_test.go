@@ -27,7 +27,8 @@ type contractFS struct {
 // against. MountFS carries an extra empty mount so routing stays exercised;
 // OSFS runs over a per-test host directory; LatencyFS wraps MemFS with the
 // parallel-file-system cost model, proving the wrapper is semantically
-// transparent.
+// transparent; Interposed routes MemFS through a pass-through hook, proving
+// the interposition layer is too.
 func contractBackends() []contractFS {
 	return []contractFS{
 		{"MemFS", func(t *testing.T) FS { return NewMemFS() }},
@@ -41,6 +42,7 @@ func contractBackends() []contractFS {
 		{"OSFS", func(t *testing.T) FS { return NewOSFS(t.TempDir()) }},
 		{"ObjectFS", func(t *testing.T) FS { return NewObjectFS() }},
 		{"LatencyFS", func(t *testing.T) FS { return NewLatencyFS(NewMemFS(), ParallelFSModel) }},
+		{"Interposed", func(t *testing.T) FS { return Interpose(NewMemFS(), passThroughHook{}) }},
 	}
 }
 

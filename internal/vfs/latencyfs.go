@@ -108,23 +108,27 @@ func ResetSim(fs FS) {
 // keeps the campaign determinism harness green over latency-modeled
 // worlds.
 //
+// The billing is a Hook over the backend: data operations (Around) pay
+// their class latency plus the bytes actually moved, so a short read
+// prices what moved, and namespace operations (After) pay MetaLatency.
+//
 // CloneFS clones the inner backend (which must support it) and gives the
 // clone a fresh clock; the campaign driver additionally resets clocks
 // immediately before each run (ResetSim) so cloned and rebuilt worlds
 // measure identically.
 type LatencyFS struct {
+	FS
 	inner FS
 	cost  CostModel
-	ns    *atomic.Int64
+	ns    atomic.Int64
 }
 
 // NewLatencyFS wraps inner with the given cost model.
 func NewLatencyFS(inner FS, cost CostModel) *LatencyFS {
-	return &LatencyFS{inner: inner, cost: cost, ns: new(atomic.Int64)}
+	l := &LatencyFS{inner: inner, cost: cost}
+	l.FS = Interpose(inner, l)
+	return l
 }
-
-// Inner returns the wrapped backend.
-func (l *LatencyFS) Inner() FS { return l.inner }
 
 // SimElapsed implements SimClocked.
 func (l *LatencyFS) SimElapsed() time.Duration { return time.Duration(l.ns.Load()) }
@@ -146,110 +150,31 @@ func (l *LatencyFS) CloneFS() (FS, error) {
 	return NewLatencyFS(inner, l.cost), nil
 }
 
-func (l *LatencyFS) meta()       { l.ns.Add(int64(l.cost.MetaLatency)) }
-func (l *LatencyFS) read(n int)  { l.ns.Add(l.cost.readCost(n)) }
-func (l *LatencyFS) write(n int) { l.ns.Add(l.cost.writeCost(n)) }
-
-func (l *LatencyFS) Create(name string) (File, error) {
-	l.meta()
-	f, err := l.inner.Create(name)
-	if err != nil {
-		return nil, err
+// Around implements Hook: it runs the primitive and bills it. Truncate is
+// a write-class operation that moves no bytes; mknod and chmod are
+// metadata.
+func (l *LatencyFS) Around(op Op) (int, error) {
+	n, err := op.Do()
+	switch op.Prim {
+	case PrimRead:
+		l.ns.Add(l.cost.readCost(n))
+	case PrimWrite:
+		l.ns.Add(l.cost.writeCost(n))
+	case PrimTruncate:
+		l.ns.Add(l.cost.writeCost(0))
+	default:
+		l.ns.Add(int64(l.cost.MetaLatency))
 	}
-	return &latencyFile{File: f, fs: l}, nil
-}
-
-func (l *LatencyFS) Open(name string) (File, error) {
-	l.meta()
-	f, err := l.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencyFile{File: f, fs: l}, nil
-}
-
-func (l *LatencyFS) Append(name string) (File, error) {
-	l.meta()
-	f, err := l.inner.Append(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencyFile{File: f, fs: l}, nil
-}
-
-func (l *LatencyFS) Mkdir(name string) error    { l.meta(); return l.inner.Mkdir(name) }
-func (l *LatencyFS) MkdirAll(name string) error { l.meta(); return l.inner.MkdirAll(name) }
-func (l *LatencyFS) Remove(name string) error   { l.meta(); return l.inner.Remove(name) }
-func (l *LatencyFS) RemoveAll(name string) error {
-	l.meta()
-	return l.inner.RemoveAll(name)
-}
-
-func (l *LatencyFS) Rename(oldName, newName string) error {
-	l.meta()
-	return l.inner.Rename(oldName, newName)
-}
-
-func (l *LatencyFS) Stat(name string) (FileInfo, error) { l.meta(); return l.inner.Stat(name) }
-func (l *LatencyFS) ReadDir(name string) ([]FileInfo, error) {
-	l.meta()
-	return l.inner.ReadDir(name)
-}
-
-func (l *LatencyFS) Mknod(name string, mode uint32, dev uint64) error {
-	l.meta()
-	return l.inner.Mknod(name, mode, dev)
-}
-
-func (l *LatencyFS) Chmod(name string, mode uint32) error {
-	l.meta()
-	return l.inner.Chmod(name, mode)
-}
-
-func (l *LatencyFS) Truncate(name string, size int64) error {
-	l.write(0)
-	return l.inner.Truncate(name, size)
-}
-
-// latencyFile charges data operations on an open handle. Only the bytes
-// actually transferred are billed, so a short read prices what moved.
-type latencyFile struct {
-	File
-	fs *LatencyFS
-}
-
-func (f *latencyFile) Read(p []byte) (int, error) {
-	n, err := f.File.Read(p)
-	f.fs.read(n)
 	return n, err
 }
 
-func (f *latencyFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.File.ReadAt(p, off)
-	f.fs.read(n)
-	return n, err
-}
-
-func (f *latencyFile) Write(p []byte) (int, error) {
-	n, err := f.File.Write(p)
-	f.fs.write(n)
-	return n, err
-}
-
-func (f *latencyFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.File.WriteAt(p, off)
-	f.fs.write(n)
-	return n, err
-}
-
-func (f *latencyFile) Truncate(size int64) error {
-	f.fs.write(0)
-	return f.File.Truncate(size)
-}
+// After implements Hook: every namespace operation pays MetaLatency,
+// whether or not it succeeded.
+func (l *LatencyFS) After(Op, error) { l.ns.Add(int64(l.cost.MetaLatency)) }
 
 var (
 	_ FS         = (*LatencyFS)(nil)
-	_ File       = (*latencyFile)(nil)
+	_ Hook       = (*LatencyFS)(nil)
 	_ Cloner     = (*LatencyFS)(nil)
 	_ SimClocked = (*LatencyFS)(nil)
 )

@@ -59,7 +59,7 @@ type MountPoint struct {
 //     paths under /a/b route to the inner backend.
 //   - Rename across two backends fails with ErrCrossMount (EXDEV).
 //   - Remove/RemoveAll/Rename refuse to disturb a live mount point
-//     (ErrMountBusy), and the root mount cannot be unmounted.
+//     (ErrMountBusy).
 //
 // MountFS is safe for concurrent use; the table itself is guarded by an
 // RWMutex and all per-file state lives in the backends.
@@ -116,30 +116,6 @@ func (m *MountFS) Mount(dir string, backend FS) error {
 	return nil
 }
 
-// Unmount detaches the backend at dir. The materialized mount-point
-// directory stays behind in the covering backend, as after umount(8).
-// Unmounting "/" or a path with no backend attached is an error; a mount
-// that still shadows a nested mount cannot be detached (ErrMountBusy).
-func (m *MountFS) Unmount(dir string) error {
-	dir = Clean(dir)
-	if dir == "/" {
-		return &PathError{Op: "unmount", Path: dir, Err: ErrMountBusy}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := m.indexOf(dir)
-	if idx < 0 {
-		return &PathError{Op: "unmount", Path: dir, Err: ErrNotExist}
-	}
-	for _, mp := range m.mounts {
-		if mp.path != dir && underneath(mp.path, dir) {
-			return &PathError{Op: "unmount", Path: dir, Err: ErrMountBusy}
-		}
-	}
-	m.mounts = append(m.mounts[:idx], m.mounts[idx+1:]...)
-	return nil
-}
-
 // Mounts returns a snapshot of the mount table sorted by path.
 func (m *MountFS) Mounts() []MountPoint {
 	m.mu.RLock()
@@ -152,27 +128,20 @@ func (m *MountFS) Mounts() []MountPoint {
 	return out
 }
 
-// MountFor resolves name to the owning mount, returning its path and
-// backend. This is the introspection face of the routing every file
-// operation performs.
-func (m *MountFS) MountFor(name string) (mountPath string, backend FS) {
-	mp, _ := m.resolve(name)
-	return mp.path, mp.fs
-}
-
 // WithInterposed returns a copy of the mount table in which the backend at
-// dir is replaced by wrap over a prefix-translating view of that backend.
+// dir is replaced by Interpose(view, h), where view is a prefix-translating
+// view of that backend.
 // Backends are shared with the receiver, not copied: both tables route to
 // the same storage, only the wrapping differs. This is how core arms a
 // fault injector (armed for a run, or disarmed for the profiling pass) on
 // a single storage tier while the original table remains a clean view for
 // golden comparison and outcome classification.
 //
-// The interposed stack observes table-absolute paths — wrap's FS receives
-// "/scratch/run/out.h5", not "/run/out.h5" — so injector mutation records
-// and profiler traces name the tier they belong to; the translation back to
-// backend-relative paths happens below the wrapper.
-func (m *MountFS) WithInterposed(dir string, wrap func(FS) FS) (*MountFS, error) {
+// The hook observes table-absolute paths — it sees "/scratch/run/out.h5",
+// not "/run/out.h5" — so injector mutation records and profiler traces name
+// the tier they belong to; the translation back to backend-relative paths
+// happens below the interposer.
+func (m *MountFS) WithInterposed(dir string, h Hook) (*MountFS, error) {
 	dir = Clean(dir)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -185,7 +154,7 @@ func (m *MountFS) WithInterposed(dir string, wrap func(FS) FS) (*MountFS, error)
 	if dir != "/" && !mounts[idx].abs {
 		inner = &prefixFS{inner: inner, prefix: dir}
 	}
-	mounts[idx] = mountEntry{path: dir, fs: wrap(inner), abs: true}
+	mounts[idx] = mountEntry{path: dir, fs: Interpose(inner, h), abs: true}
 	return &MountFS{mounts: mounts}, nil
 }
 
@@ -254,9 +223,10 @@ func (m *MountFS) guardMountPoints(op, name string) error {
 // prefixFS exposes a backend mounted at prefix under table-absolute paths:
 // incoming names are stripped of the prefix before reaching the backend,
 // and returned handles are relabelled with the absolute name. It is the
-// translation layer beneath an interposed wrapper stack (WithInterposed),
-// letting injectors and profilers see the application's namespace while the
-// backend keeps its own.
+// translation layer beneath an interposed hook (WithInterposed), letting
+// injectors and profilers see the application's namespace while the backend
+// keeps its own. A read hook's side handle opens table-absolute paths
+// through it too.
 type prefixFS struct {
 	inner  FS
 	prefix string

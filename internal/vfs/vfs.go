@@ -5,9 +5,12 @@
 // the fault injector corrupts the arguments on their way to the backing
 // store. This package is the Go equivalent of that boundary: an FS interface
 // with FUSE-shaped primitives, an in-memory implementation (MemFS) standing
-// in for the backing device, and wrapper implementations (core.InjectorFS,
-// which also serves as the I/O profiler when disarmed) standing in for the
-// FFIS instrumentation inserted between the application and the store.
+// in for the backing device, and one interposition point (Interpose) that
+// routes every primitive through a Hook, standing in for the FFIS
+// instrumentation inserted between the application and the store. The
+// fault injector (core.Injector, which also serves as the claim profiler
+// when disarmed), the I/O pattern recorder (trace.Recorder) and the latency
+// model (LatencyFS) are each one Hook.
 //
 // Where the paper has a single FFISFS mount point over one device, MountFS
 // generalizes the boundary to tiered storage: a Unix-style mount table
